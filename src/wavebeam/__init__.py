@@ -21,13 +21,7 @@ from .discretize import (
     initial_state,
     sample_profile,
 )
-from .eigen import (
-    SpectralFactorization,
-    factorize,
-    factorize_cached,
-    load_cache,
-    save_cache,
-)
+from .eigen import SpectralFactorization, factorize
 from .integrators import (
     SchemeTableau,
     SolveResult,

@@ -16,14 +16,13 @@ import sys
 from dataclasses import dataclass, field
 
 from .discretize import Profile, ProblemSpec, build_operator, grid_points
-from .eigen import factorize, factorize_cached
+from .eigen import factorize
 from .errors import ConfigError, OracleScaleError, WaveBeamError
 from .integrators import build_tableau, solve
 from .modefuncs import classify_mode
 from .oracles import block_oracle_suite, discrete_l2_error, load_preset, observed_order
 from .propagator import build_propagator
 
-CACHE_ENV_VAR = "WAVEBEAM_CACHE_DIR"
 ORACLE_TOL = 1e-10
 
 
@@ -56,7 +55,6 @@ class RunConfig:
     ref_scheme: str = "EI-SW4"
     ref_c2: float | None = None
     out: str | None = None
-    cache_dir: str | None = None
     snapshots: int | None = None
 
     def problem_spec(self) -> ProblemSpec:
@@ -93,11 +91,27 @@ class RunConfig:
         raise ConfigError("no scheme given (use --scheme, a preset, or a config 'schemes' list)")
 
 
+def _number(key: str, value, cast):
+    """A config value as float or int; integer fields must hold whole numbers."""
+    try:
+        num = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from None
+    if cast is int:
+        if not num.is_integer():
+            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+        return int(num)
+    return num
+
+
 def _profile_from_json(value) -> Profile:
     if isinstance(value, str):
         return Profile(value)
     if isinstance(value, dict) and "name" in value:
-        return Profile(value["name"], tuple(value.get("params", ())))
+        params = value.get("params", ())
+        if not isinstance(params, (list, tuple)):
+            raise ConfigError(f"profile params must be a list, got {params!r}")
+        return Profile(value["name"], tuple(_number("params", v, float) for v in params))
     raise ConfigError(f"profile entries need a 'name' (and optional 'params'), got {value!r}")
 
 
@@ -107,7 +121,8 @@ def _schemes_from_json(value) -> list:
         if isinstance(item, str):
             out.append((item, None))
         elif isinstance(item, dict) and "name" in item:
-            out.append((item["name"], item.get("c2")))
+            c2 = item.get("c2")
+            out.append((item["name"], None if c2 is None else _number("c2", c2, float)))
         else:
             raise ConfigError(f"scheme entries need a 'name' (and optional 'c2'), got {item!r}")
     return out
@@ -140,20 +155,20 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         "ref_scheme": str,
         "ref_c2": float,
         "out": str,
-        "cache_dir": str,
         "snapshots": int,
     }
     renames = {"N": "n", "M_ref": "m_ref"}
     for key, cast in scalar_fields.items():
         if key in data and data[key] is not None:
-            setattr(cfg, renames.get(key, key), cast(data[key]))
+            value = str(data[key]) if cast is str else _number(key, data[key], cast)
+            setattr(cfg, renames.get(key, key), value)
     if "p" in data:
         cfg.p = _profile_from_json(data["p"])
     if "q" in data:
         cfg.q = _profile_from_json(data["q"])
     if "M" in data:
         raw = data["M"]
-        cfg.m_list = [int(m) for m in (raw if isinstance(raw, list) else [raw])]
+        cfg.m_list = [_number("M", m, int) for m in (raw if isinstance(raw, list) else [raw])]
     if "schemes" in data:
         cfg.schemes = _schemes_from_json(data["schemes"])
     return data.get("preset")
@@ -197,9 +212,12 @@ def resolve_config(args) -> RunConfig:
         cfg.m_ref = args.Mref
     if args.out is not None:
         cfg.out = args.out
-    cfg.cache_dir = args.cache or os.environ.get(CACHE_ENV_VAR) or cfg.cache_dir
     if args.snapshots is not None:
         cfg.snapshots = args.snapshots
+    counts = [("M", m) for m in cfg.m_list] + [("M_ref", cfg.m_ref), ("snapshots", cfg.snapshots)]
+    for name, value in counts:
+        if value is not None and value < 1:
+            raise ConfigError(f"{name} must be a positive step count, got {value}")
     return cfg
 
 
@@ -213,8 +231,7 @@ def _write_csv(path: str, header, rows) -> None:
 def _build_problem(cfg: RunConfig):
     spec = cfg.problem_spec()
     op = build_operator(cfg.kind, cfg.grid_size(), spec.ell)
-    fact = factorize_cached(op, cfg.cache_dir) if cfg.cache_dir else factorize(op)
-    return spec, op, build_propagator(op, spec, fact=fact)
+    return spec, op, build_propagator(op, spec)
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -282,7 +299,7 @@ def cmd_converge(cfg: RunConfig) -> int:
 def cmd_modes(cfg: RunConfig) -> int:
     spec = cfg.problem_spec()
     op = build_operator(cfg.kind, cfg.grid_size(), spec.ell)
-    fact = factorize_cached(op, cfg.cache_dir) if cfg.cache_dir else factorize(op)
+    fact = factorize(op)
     rows = []
     for i, lam in enumerate(fact.lam, start=1):
         p = classify_mode(float(lam), spec.alpha, spec.beta, spec.gamma, spec.delta)
@@ -353,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--N", type=int, metavar="n", help="number of interior grid points")
         p.add_argument("--T", type=float, metavar="t", help="final time")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
-        p.add_argument("--cache", metavar="DIR", help=f"eigen cache dir (or ${CACHE_ENV_VAR})")
         p.add_argument("--snapshots", type=int, metavar="K", help="snapshot every K steps")
     return parser
 

@@ -64,7 +64,7 @@ class ProblemSpec:
 
     The governing system is u_tt + (alpha*S + delta*I) u + (beta*S + gamma*I) u_t
     = g(u) + h(u_t), with S the spatial operator. alpha must be positive;
-    beta, gamma, delta are non-negative.
+    beta, gamma, delta are non-negative; every coefficient, ell and T is finite.
     """
 
     alpha: float
@@ -79,6 +79,9 @@ class ProblemSpec:
     T: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma", "delta", "ell", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.alpha > 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
         for name in ("beta", "gamma", "delta"):

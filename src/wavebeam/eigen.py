@@ -1,34 +1,23 @@
-"""Deterministic orthogonal factorization S = Q diag(lam) Q' of the grid operators.
+"""Orthogonal factorization S = Q diag(lam) Q' of the grid operators.
 
-The solver reduces the symmetric matrix to tridiagonal form with Householder
-reflections and then runs implicit-shift QL iterations, accumulating the
-eigenvector transforms densely. Output ordering and signs are normalized so
-that repeated factorizations of the same operator are bitwise identical:
-eigenvalues ascend and each eigenvector's first nonzero component is positive.
+The operators that ``discretize.build_operator`` builds are diagonalized
+exactly by the orthonormal DST-I matrix Q_ij = sqrt(2/(n+1)) sin(ij*pi/(n+1)).
+The wave operator has lam_j = 4/dx^2 sin^2(j*pi/(2(n+1))); the hinged-hinged
+beam operator equals the square of the wave operator entry for entry, so it
+has the same Q and the squared eigenvalues (Strang, "The discrete cosine
+transform", SIAM Review 41, 1999). Any other symmetric operator is
+factorized by ``numpy.linalg.eigh``. Either way eigenvalues ascend and each
+eigenvector's first nonzero component is positive.
 """
 
 from __future__ import annotations
 
-import math
-import zipfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .discretize import GridOperator
-from .errors import (
-    CacheCorruptError,
-    CacheMissError,
-    CacheVersionError,
-    EigenConvergenceError,
-)
-
-# off-diagonal e[m] is treated as zero once |e[m]| <= DEFLATE_REL*(|d[m]|+|d[m+1]|)
-DEFLATE_REL = 1e-15
-SWEEP_BUDGET_PER_ROW = 50
-
-CACHE_VERSION = 1
+from .discretize import BEAM, GridOperator, build_operator
+from .errors import EigenConvergenceError, InvalidDimensionError
 
 
 @dataclass(frozen=True)
@@ -43,166 +32,40 @@ class SpectralFactorization:
         return self.lam.size
 
 
-def _householder_tridiagonalize(a: np.ndarray):
-    """Reduce symmetric a to tridiagonal T with a = U T U'; returns (d, e, U)."""
-    n = a.shape[0]
-    a = a.copy()
-    u = np.eye(n)
-    e = np.zeros(n - 1) if n > 1 else np.zeros(0)
-    for k in range(n - 2):
-        x = a[k + 1 :, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0])
-        v /= np.linalg.norm(v)
-        sub = a[k + 1 :, k + 1 :]
-        w = sub @ v
-        w -= (v @ w) * v
-        sub -= 2.0 * (np.outer(v, w) + np.outer(w, v))
-        beta = -math.copysign(norm_x, x[0])
-        a[k + 1 :, k] = 0.0
-        a[k, k + 1 :] = 0.0
-        a[k + 1, k] = beta
-        a[k, k + 1] = beta
-        u[:, k + 1 :] -= 2.0 * np.outer(u[:, k + 1 :] @ v, v)
-    if n > 1:
-        e[:] = np.diag(a, -1)
-    d = np.diag(a).copy()
-    return d, e, u
+def _is_builder_stencil(op: GridOperator) -> bool:
+    try:
+        return np.array_equal(op.entries, build_operator(op.kind, op.n, op.ell).entries)
+    except InvalidDimensionError:
+        return False
 
 
-def _ql_implicit(d: np.ndarray, e: np.ndarray, z: np.ndarray, budget: int):
-    """Implicit-shift QL on (d, e), rotations accumulated into the columns of z."""
-    n = d.size
-    e = np.append(e, 0.0)
-    iters = 0
-    for l in range(n):
-        while True:
-            for m in range(l, n - 1):
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= DEFLATE_REL * dd:
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            iters += 1
-            if iters > budget:
-                raise EigenConvergenceError(
-                    f"QL iteration exceeded its budget of {budget} sweeps at size {n}"
-                )
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                zi = z[:, i].copy()
-                zi1 = z[:, i + 1].copy()
-                z[:, i + 1] = s * zi + c * zi1
-                z[:, i] = c * zi - s * zi1
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
+def _dst1(kind: str, n: int, ell: float) -> SpectralFactorization:
+    j = np.arange(1, n + 1)
+    # reducing i*j modulo the period keeps every sine argument in [0, 2*pi)
+    q = np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1))
+    np.sin(q, out=q)
+    q *= np.sqrt(2.0 / (n + 1))
+    dx = ell / (n + 1)
+    lam = 4.0 / (dx * dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+    if kind == BEAM:
+        lam = lam * lam
+    # q is exactly symmetric, so its transpose is the same matrix as a free
+    # Fortran-ordered view
+    return SpectralFactorization(q=q.T, lam=lam)
 
 
-def _normalize_signs(q: np.ndarray) -> None:
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            np.negative(col, out=col)
-
-
-def factorize(op: GridOperator) -> SpectralFactorization:
-    """Compute S = Q diag(lam) Q' for a grid operator, deterministically."""
-    d, e, q = _householder_tridiagonalize(op.entries)
-    _ql_implicit(d, e, q, budget=SWEEP_BUDGET_PER_ROW * max(op.n, 1))
-    order = np.argsort(d, kind="stable")
-    lam = d[order]
-    q = q[:, order]
-    _normalize_signs(q)
+def _eigh(op: GridOperator) -> SpectralFactorization:
+    try:
+        lam, q = np.linalg.eigh(op.entries)
+    except np.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"eigh failed on the {op.kind} operator of size {op.n}: {exc}"
+        ) from exc
+    first = q[np.argmax(q != 0.0, axis=0), np.arange(op.n)]
+    q[:, first < 0.0] *= -1.0
     return SpectralFactorization(q=q, lam=lam)
 
 
-def _cache_key(op: GridOperator):
-    return op.kind, op.n, op.ell
-
-
-def save_cache(fact: SpectralFactorization, op: GridOperator, path) -> None:
-    """Write the factorization to disk, keyed by (kind, n, ell)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            version=np.int64(CACHE_VERSION),
-            kind=np.str_(op.kind),
-            n=np.int64(op.n),
-            ell=np.float64(op.ell),
-            lam=fact.lam,
-            q=fact.q,
-        )
-
-
-def load_cache(path, op: GridOperator) -> SpectralFactorization:
-    """Load a cached factorization; the file must match op's key exactly."""
-    path = Path(path)
-    if not path.exists():
-        raise CacheMissError(f"no cache file at {path}")
-    try:
-        with np.load(path, allow_pickle=False) as data:
-            try:
-                version = int(data["version"])
-                kind = str(data["kind"])
-                n = int(data["n"])
-                ell = float(data["ell"])
-                lam = data["lam"]
-                q = data["q"]
-            except KeyError as exc:
-                raise CacheCorruptError(f"cache file {path} is missing field {exc}") from exc
-            if version != CACHE_VERSION:
-                raise CacheVersionError(
-                    f"cache file {path} has version {version}, expected {CACHE_VERSION}"
-                )
-            if (kind, n, ell) != _cache_key(op):
-                raise CacheMissError(
-                    f"cache file {path} keyed for ({kind}, {n}, {ell}), "
-                    f"wanted {_cache_key(op)}"
-                )
-            if lam.shape != (n,) or q.shape != (n, n):
-                raise CacheCorruptError(f"cache file {path} has inconsistent array shapes")
-            return SpectralFactorization(q=q.copy(), lam=lam.copy())
-    except (zipfile.BadZipFile, OSError, ValueError) as exc:
-        raise CacheCorruptError(f"cache file {path} is unreadable: {exc}") from exc
-
-
-def factorize_cached(op: GridOperator, cache_dir=None) -> SpectralFactorization:
-    """Factorize, reusing (or writing) an on-disk cache when a directory is given."""
-    if cache_dir is None:
-        return factorize(op)
-    path = Path(cache_dir) / f"eig_{op.kind}_{op.n}_{op.ell:.17g}.npz"
-    try:
-        return load_cache(path, op)
-    except (CacheMissError, CacheVersionError, CacheCorruptError):
-        fact = factorize(op)
-        save_cache(fact, op, path)
-        return fact
+def factorize(op: GridOperator) -> SpectralFactorization:
+    """S = Q diag(lam) Q': closed form for the builder's stencils, eigh otherwise."""
+    return _dst1(op.kind, op.n, op.ell) if _is_builder_stencil(op) else _eigh(op)

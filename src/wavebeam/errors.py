@@ -34,19 +34,7 @@ class PhiOrderError(WaveBeamError, ValueError):
 
 
 class EigenConvergenceError(WaveBeamError, RuntimeError):
-    """Iterative eigensolver exceeded its sweep budget."""
-
-
-class CacheMissError(WaveBeamError, LookupError):
-    """Factorization cache absent or keyed for a different operator."""
-
-
-class CacheVersionError(WaveBeamError, LookupError):
-    """Factorization cache written with an incompatible format version."""
-
-
-class CacheCorruptError(WaveBeamError, LookupError):
-    """Factorization cache file unreadable or truncated."""
+    """Dense symmetric eigensolver failed to converge."""
 
 
 class InstabilityError(WaveBeamError, RuntimeError):

@@ -242,7 +242,7 @@ def solve(
 ) -> SolveResult:
     """M constant steps of size T/M from the sampled initial data to T."""
     if M < 1:
-        raise ValueError(f"step count must be positive, got {M}")
+        raise ConfigError(f"step count must be positive, got {M}")
     tau = spec.T / M
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
@@ -299,7 +299,7 @@ def assemble_sparse_A(op: GridOperator, spec: ProblemSpec) -> sp.csr_matrix:
 def rk4_baseline_solve(op: GridOperator, spec: ProblemSpec, M: int) -> SolveResult:
     """Fixed-step classical RK4 on y' = A y + F(y), the non-exponential comparator."""
     if M < 1:
-        raise ValueError(f"step count must be positive, got {M}")
+        raise ConfigError(f"step count must be positive, got {M}")
     a_mat = assemble_sparse_A(op, spec)
     forcing = _forcing_from_spec(spec, op.n)
 

@@ -56,10 +56,11 @@ class CachedStepFunctions:
 
 
 class BlockPropagator:
-    """Immutable engine applying matrix functions of tA to state vectors.
+    """Engine applying matrix functions of tA to state vectors.
 
-    Safe for concurrent apply calls; the block-table cache is populated
-    under a lock on first use of each (tau, c, k) combination.
+    Each block table is built once, under a lock, on first use of its
+    (tau, c, k) combination. The ``tables_built`` and ``applies`` counters
+    are plain attributes and are not thread-safe.
     """
 
     def __init__(self, fact: SpectralFactorization, modes, perm: np.ndarray, params):

@@ -205,15 +205,37 @@ class TestConfigPrecedence:
                    "--scheme", "EI-E1", "--M", "4", "--out", str(out)])
         assert rc == 0 and len(read_csv(out)) == 11
 
-    def test_cache_env_var(self, tmp_path, monkeypatch):
-        cache = tmp_path / "cache"
-        monkeypatch.setenv("WAVEBEAM_CACHE_DIR", str(cache))
-        out = tmp_path / "final.csv"
-        assert main(["solve", "--preset", "wave1", "--N", "10", "--T", "0.25",
-                     "--scheme", "EI-E1", "--M", "4", "--out", str(out)]) == 0
-        assert len(list(cache.iterdir())) == 1
-
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--M", "4"]) != 0
+
+
+SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--scheme", "EI-E1"]
+
+
+@pytest.mark.parametrize(
+    "args, config",
+    [
+        (SMALL_SOLVE + ["--M", "0"], None),
+        (SMALL_SOLVE + ["--M", "-3"], None),
+        (SMALL_SOLVE + ["--M", "4", "--snapshots", "0"], None),
+        (SMALL_SOLVE + ["--T", "inf", "--M", "4"], None),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "N": "abc", "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "N": 2.7, "scheme": "EI-E1"}),
+        (["solve"], {**LINEAR_CONFIG, "M": 4.5, "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "beta": "x", "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "gamma": "inf", "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": "x"}]}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": ["x"]},
+                                 "scheme": "EI-E1"}),
+    ],
+    ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
+         "beta-text", "gamma-inf", "c2-text", "params-text"],
+)
+def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
+    if config is not None:
+        args = args + ["--config", write_config(tmp_path, config)]
+    assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -158,6 +158,15 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec(alpha=1.0, delta=-1e-30)
 
+    @pytest.mark.parametrize(
+        "field", ["alpha", "beta", "gamma", "delta", "ell", "T"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        kwargs = {"alpha": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec(**kwargs)
+
     def test_unknown_profile_rejected(self):
         with pytest.raises(UnknownProfileError):
             ProblemSpec(alpha=1.0, p=Profile("wedge"))

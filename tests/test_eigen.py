@@ -1,20 +1,21 @@
-"""Spectral factorization: invariants, analytic values, determinism, cache."""
+"""Spectral factorization: invariants, analytic values, determinism."""
 
 import math
-import zipfile
 
 import numpy as np
 import pytest
 
-from wavebeam.discretize import GridOperator, build_beam_operator, build_wave_operator
-from wavebeam.eigen import (
-    CACHE_VERSION,
-    factorize,
-    factorize_cached,
-    load_cache,
-    save_cache,
+from wavebeam.discretize import (
+    GridOperator,
+    ProblemSpec,
+    StateVector,
+    build_beam_operator,
+    build_wave_operator,
+    grid_points,
 )
-from wavebeam.errors import CacheCorruptError, CacheMissError, CacheVersionError
+from wavebeam.eigen import factorize
+from wavebeam.modefuncs import exp_block
+from wavebeam.propagator import apply_phi, build_propagator
 
 BUILDERS = {"wave": build_wave_operator, "beam": build_beam_operator}
 
@@ -43,7 +44,7 @@ def test_wave3_analytic():
 
 
 @pytest.mark.parametrize("kind", ["wave", "beam"])
-@pytest.mark.parametrize("n", [3, 8, 16, 50, 200])
+@pytest.mark.parametrize("n", [3, 8, 16, 50, 200, 600])
 def test_factorization_invariants(kind, n):
     op = BUILDERS[kind](n, 1.0)
     fact = factorize(op)
@@ -82,81 +83,43 @@ def test_determinism():
     assert np.array_equal(f1.lam, f2.lam)
 
 
-def test_exhausted_sweep_budget_raises():
-    from wavebeam.eigen import _householder_tridiagonalize, _ql_implicit
-    from wavebeam.errors import EigenConvergenceError
-
-    op = build_wave_operator(8, 1.0)
-    d, e, q = _householder_tridiagonalize(op.entries)
-    with pytest.raises(EigenConvergenceError):
-        _ql_implicit(d, e, q, budget=0)
+def closed_form_eigenvalues(kind, n):
+    dx = 1.0 / (n + 1)
+    lam = 4.0 / dx**2 * np.sin(np.arange(1, n + 1) * math.pi / (2 * (n + 1))) ** 2
+    return lam if kind == "wave" else lam**2
 
 
-class TestCache:
-    def test_roundtrip_bitwise(self, tmp_path):
-        op = build_wave_operator(12, 1.5)
-        fact = factorize(op)
-        path = tmp_path / "f.npz"
-        save_cache(fact, op, path)
-        loaded = load_cache(path, op)
-        assert np.array_equal(loaded.q, fact.q)
-        assert np.array_equal(loaded.lam, fact.lam)
+@pytest.mark.parametrize("kind", ["wave", "beam"])
+@pytest.mark.parametrize("n", [300, 600])
+def test_per_mode_eigenvalue_error(kind, n):
+    # relative to each eigenvalue, not to max |lam|: the smooth beam modes
+    # are the ones a general eigensolver loses
+    fact = factorize(BUILDERS[kind](n, 1.0))
+    exact = closed_form_eigenvalues(kind, n)
+    rel = np.abs(fact.lam - exact) / exact
+    assert np.max(rel) <= 1e-12, f"worst mode {np.argmax(rel) + 1}: {np.max(rel):.2e}"
 
-    def test_wrong_key_is_miss(self, tmp_path):
-        op = build_wave_operator(12, 1.5)
-        save_cache(factorize(op), op, tmp_path / "f.npz")
-        with pytest.raises(CacheMissError):
-            load_cache(tmp_path / "f.npz", build_wave_operator(13, 1.5))
-        with pytest.raises(CacheMissError):
-            load_cache(tmp_path / "f.npz", build_wave_operator(12, 2.5))
-        with pytest.raises(CacheMissError):
-            load_cache(tmp_path / "f.npz", build_beam_operator(12, 1.5))
 
-    def test_missing_file_is_miss(self, tmp_path):
-        with pytest.raises(CacheMissError):
-            load_cache(tmp_path / "nope.npz", build_wave_operator(4, 1.0))
+def test_other_operators_use_eigh_with_conventions():
+    # a symmetric operator that is not the builder's stencil
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((12, 12))
+    op = GridOperator("wave", 12, 1.0 / 13.0, 1.0, a + a.T)
+    fact = factorize(op)
+    assert np.allclose(fact.lam, np.linalg.eigvalsh(op.entries), rtol=0, atol=1e-12)
+    assert np.max(np.abs(fact.q @ np.diag(fact.lam) @ fact.q.T - op.entries)) < 1e-12
+    assert np.all(fact.q[0] > 0)
 
-    def test_truncated_file_is_corrupt(self, tmp_path):
-        op = build_wave_operator(12, 1.5)
-        path = tmp_path / "f.npz"
-        save_cache(factorize(op), op, path)
-        raw = path.read_bytes()
-        path.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(CacheCorruptError):
-            load_cache(path, op)
 
-    def test_version_mismatch(self, tmp_path):
-        op = build_wave_operator(6, 1.0)
-        fact = factorize(op)
-        path = tmp_path / "f.npz"
-        with open(path, "wb") as fh:
-            np.savez(
-                fh,
-                version=np.int64(CACHE_VERSION + 1),
-                kind=np.str_(op.kind),
-                n=np.int64(op.n),
-                ell=np.float64(op.ell),
-                lam=fact.lam,
-                q=fact.q,
-            )
-        with pytest.raises(CacheVersionError):
-            load_cache(path, op)
-
-    def test_missing_field_is_corrupt(self, tmp_path):
-        path = tmp_path / "f.npz"
-        with open(path, "wb") as fh:
-            np.savez(fh, version=np.int64(CACHE_VERSION))
-        with pytest.raises(CacheCorruptError):
-            load_cache(path, build_wave_operator(4, 1.0))
-        # not even a zip archive
-        path.write_bytes(b"not a cache")
-        with pytest.raises(CacheCorruptError):
-            load_cache(path, build_wave_operator(4, 1.0))
-
-    def test_factorize_cached_writes_then_reuses(self, tmp_path):
-        op = build_wave_operator(10, 1.0)
-        f1 = factorize_cached(op, tmp_path)
-        files = list(tmp_path.iterdir())
-        assert len(files) == 1 and zipfile.is_zipfile(files[0])
-        f2 = factorize_cached(op, tmp_path)
-        assert np.array_equal(f1.q, f2.q)
+@pytest.mark.parametrize("j", [1, 2, 7])
+def test_single_mode_evolves_by_its_block(j):
+    # F = 0: sin(j*pi*x) is the j-th eigenvector, so exp(tA) acts on it as
+    # the scalar 2x2 exponential of mode j
+    n, t = 300, 0.75
+    spec = ProblemSpec(alpha=15.0, beta=3e-6, gamma=3e-4, delta=10.0)
+    prop = build_propagator(build_beam_operator(n, 1.0), spec)
+    u0 = np.sin(j * math.pi * grid_points(n, 1.0))
+    out = apply_phi(prop, 0, t, StateVector(u0, np.zeros(n)))
+    blk = exp_block(t, prop.modes[j - 1])
+    assert np.max(np.abs(out.u - blk.a11 * u0)) <= 1e-12
+    assert np.max(np.abs(out.w - blk.a21 * u0)) <= 1e-12 * max(1.0, abs(blk.a21))
