@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .discretize import Profile, ProblemSpec, build_operator, grid_points
 from .eigen import factorize
-from .errors import ConfigError, OracleScaleError, WaveBeamError
+from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
 from .modefuncs import classify_mode
 from .oracles import block_oracle_suite, discrete_l2_error, load_preset, observed_order
@@ -171,7 +171,10 @@ def _apply_config_file(cfg: RunConfig, path: str) -> None:
         cfg.m_list = [_number("M", m, int) for m in (raw if isinstance(raw, list) else [raw])]
     if "schemes" in data:
         cfg.schemes = _schemes_from_json(data["schemes"])
-    return data.get("preset")
+    preset = data.get("preset")
+    if preset is not None and not isinstance(preset, str):
+        raise ConfigError(f"config field 'preset' must be a string, got {preset!r}")
+    return preset
 
 
 def _apply_preset(cfg: RunConfig, preset_id: str) -> None:
@@ -222,10 +225,13 @@ def resolve_config(args) -> RunConfig:
 
 
 def _write_csv(path: str, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise OutputWriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _build_problem(cfg: RunConfig):

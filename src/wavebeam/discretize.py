@@ -23,6 +23,7 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
+    ProfileParamsError,
     UnknownNonlinearityError,
     UnknownProfileError,
 )
@@ -95,8 +96,7 @@ class ProblemSpec:
             if name not in NONLINEARITIES:
                 raise UnknownNonlinearityError(f"unknown nonlinearity {name!r}")
         for prof in (self.p, self.q):
-            if prof.name not in PROFILES:
-                raise UnknownProfileError(f"unknown profile {prof.name!r}")
+            _profile_function(prof.name, prof.params)
 
 
 @dataclass
@@ -213,12 +213,24 @@ PROFILES = {
 }
 
 
-def sample_profile(name: str, params, n: int, ell: float) -> np.ndarray:
-    """Evaluate a registered profile at the interior nodes."""
+def _profile_function(name: str, params):
+    """The registered profile `name`, checked to take `params` after (x, ell)."""
     try:
         fn = PROFILES[name]
     except KeyError:
         raise UnknownProfileError(f"unknown profile {name!r}") from None
+    most = fn.__code__.co_argcount - 2  # after (x, ell)
+    least = most - len(fn.__defaults__ or ())
+    if not least <= len(params) <= most:
+        raise ProfileParamsError(
+            f"profile {name!r} takes {least} to {most} params, got {len(params)}"
+        )
+    return fn
+
+
+def sample_profile(name: str, params, n: int, ell: float) -> np.ndarray:
+    """Evaluate a registered profile at the interior nodes."""
+    fn = _profile_function(name, params)
     x = grid_points(n, ell)
     return np.asarray(fn(x, ell, *params), dtype=float)
 

@@ -13,6 +13,10 @@ class UnknownProfileError(WaveBeamError, ValueError):
     """Initial-data profile name not in the registry."""
 
 
+class ProfileParamsError(WaveBeamError, ValueError):
+    """Initial-data profile given a number of parameters it does not take."""
+
+
 class UnknownNonlinearityError(WaveBeamError, ValueError):
     """Nonlinearity name not in the registry."""
 
@@ -52,6 +56,10 @@ class OracleScaleError(WaveBeamError, ValueError):
 
 class ConfigError(WaveBeamError, ValueError):
     """Invalid or incomplete run configuration."""
+
+
+class OutputWriteError(WaveBeamError, OSError):
+    """An output file could not be written."""
 
 
 class InsufficientPointsError(WaveBeamError, ValueError):

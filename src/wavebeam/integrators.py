@@ -161,13 +161,13 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _group_row(combos) -> list:
-    """[(k, [(source index, weight), ...]), ...] for one coefficient row."""
+def _group_row(combos) -> tuple:
+    """((k, ((source index, weight), ...)), ...) for one coefficient row."""
     grouped: dict[int, list] = {}
     for j, combo in enumerate(combos):
         for k, w in combo:
             grouped.setdefault(k, []).append((j, w))
-    return sorted(grouped.items())
+    return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
 def _forcing_from_spec(spec: ProblemSpec, n: int):
@@ -183,27 +183,35 @@ def _forcing_from_spec(spec: ProblemSpec, n: int):
 
 
 def _step_stacked(prop, a_grouped, b_grouped, c_nodes, forcing, tau, y):
+    # Stages with equal nodes share terms: each distinct (k, c, source
+    # combination) is applied once per step. Memoized arrays are only read.
+    applied: dict[tuple, np.ndarray] = {}
+
+    def combination(c, grouped):
+        total = None
+        for k, pairs in ((0, None), *grouped):
+            key = (k, c, pairs)
+            if key not in applied:
+                vec = y
+                if pairs is not None:
+                    (j0, w0), *rest = pairs
+                    vec = w0 * f_stages[j0]
+                    for j, w in rest:
+                        vec = vec + w * f_stages[j]
+                applied[key] = prop.apply_stacked(k, tau, vec, c)
+            total = applied[key] if total is None else total + tau * applied[key]
+        return total
+
     # blow-ups surface as InstabilityError, so numpy's own overflow
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
         f_stages = [forcing(y)]
         for i in range(1, len(c_nodes)):
-            ci = c_nodes[i]
-            yi = prop.apply_stacked(0, tau, y, ci)
-            for k, pairs in a_grouped[i]:
-                vec = pairs[0][1] * f_stages[pairs[0][0]]
-                for j, w in pairs[1:]:
-                    vec = vec + w * f_stages[j]
-                yi += tau * prop.apply_stacked(k, tau, vec, ci)
+            yi = combination(c_nodes[i], a_grouped[i])
             if not np.all(np.isfinite(yi)):
                 raise InstabilityError(f"non-finite values in stage {i + 1}")
             f_stages.append(forcing(yi))
-        y_next = prop.apply_stacked(0, tau, y)
-        for k, pairs in b_grouped:
-            vec = pairs[0][1] * f_stages[pairs[0][0]]
-            for j, w in pairs[1:]:
-                vec = vec + w * f_stages[j]
-            y_next += tau * prop.apply_stacked(k, tau, vec)
+        y_next = combination(1.0, b_grouped)
         if not np.all(np.isfinite(y_next)):
             raise InstabilityError("non-finite values in the step update")
     return y_next

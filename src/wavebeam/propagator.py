@@ -2,10 +2,11 @@
 
 The 2n-by-2n system matrix A = [[0, I], [-alpha*S - delta*I, -beta*S - gamma*I]]
 factors as diag(Q, Q) P diag(G_1..G_n) P' diag(Q', Q') once S = Q diag(lam) Q'.
-Applying any phi_k(tA) to a vector therefore costs two dense n-by-n
-matrix-vector products plus O(n) block work: transform both halves by Q',
-interleave with the permutation P', multiply each mode's 2x2 block, and
-transform back.
+Applying any phi_k(tA) to a vector therefore costs two dense products, each
+reading Q once, plus O(n) block work: one product with Q takes both halves
+to spectral coefficients (Q'u, Q'w), the permutation P' interleaves them,
+each mode's 2x2 block multiplies its pair, and one product with Q' takes
+both halves back.
 
 P is never stored as a matrix, only as the position array of its nonzero
 column per row ([1, 3, 5, 2, 4, 6] for n = 3).
@@ -110,25 +111,22 @@ class BlockPropagator:
     def apply_stacked(self, k: int, tau: float, y: np.ndarray, c: float = 1.0) -> np.ndarray:
         """phi_k(c*tau*A) @ y on the stacked (u, w) layout.
 
-        Pipeline: v1 = (Q'a, Q'b), reorder by P', multiply the per-mode 2x2
-        blocks, reorder by P, transform back by Q. P' interleaves the two
+        Pipeline: one product with Q takes both halves to spectral
+        coefficients (rows Q'u and Q'w), the per-mode 2x2 blocks mix them,
+        and one product with Q' takes both rows back. P' interleaves the two
         spectral halves into mode pairs and P separates them again, so on
-        the stacked halves the middle three stages collapse to four
-        per-mode coefficient multiplies (the strided columns of the 2-by-2n
-        block table).
+        the stacked halves the middle three stages collapse to two
+        coefficient multiplies by strided columns of the 2-by-2n block
+        table. Q is read once in and once out.
         """
         n = self.n
         if y.shape != (2 * n,):
             raise DimensionMismatchError(f"expected stacked length {2 * n}, got {y.shape}")
         tab = self.table(k, tau, c)
-        cu = self._q_t @ y[:n]
-        cw = self._q_t @ y[n:]
-        q = self.fact.q
-        out = np.empty_like(y)
-        out[:n] = q @ (tab[0, 0::2] * cu + tab[0, 1::2] * cw)
-        out[n:] = q @ (tab[1, 0::2] * cu + tab[1, 1::2] * cw)
+        spec = y.reshape(2, n) @ self.fact.q
+        out = (tab[:, 0::2] * spec[0] + tab[:, 1::2] * spec[1]) @ self._q_t
         self.applies += 1
-        return out
+        return out.reshape(2 * n)
 
 
 def build_propagator(
@@ -164,7 +162,7 @@ def apply_undamped_reference(prop: BlockPropagator, t: float, v: StateVector) ->
     With Omega = sqrt(alpha*S + delta*I), the undamped propagator is
     [[cos(t*Omega), Omega^{-1} sin(t*Omega)], [-Omega sin(t*Omega), cos(t*Omega)]],
     evaluated mode-wise on the spectral coefficients. Cross-validates the
-    general block path and drives the merged-damping comparison.
+    general block path.
     """
     alpha, beta, gamma, delta = prop.params
     if beta != 0.0 or gamma != 0.0:

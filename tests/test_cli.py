@@ -229,13 +229,23 @@ SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--sche
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": "x"}]}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": ["x"]},
                                  "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": [1, 2, 3]},
+                                 "scheme": "EI-E1"}),
+        (["solve", "--N", "10", "--scheme", "EI-E1", "--M", "4"], {"preset": ["wave1"]}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
-         "beta-text", "gamma-inf", "c2-text", "params-text"],
+         "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "preset-list"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:
         args = args + ["--config", write_config(tmp_path, config)]
     assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert main(SMALL_SOLVE + ["--M", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -17,6 +17,7 @@ from wavebeam.discretize import (
 from wavebeam.eigen import factorize
 from wavebeam.errors import (
     InvalidDimensionError,
+    ProfileParamsError,
     UnknownNonlinearityError,
     UnknownProfileError,
 )
@@ -114,6 +115,12 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(UnknownProfileError):
             sample_profile("sawtooth", (), 4, 1.0)
+
+    def test_wrong_param_count(self):
+        with pytest.raises(ProfileParamsError):
+            sample_profile("sine", (1.0, 2.0, 3.0), 4, 1.0)
+        with pytest.raises(ProfileParamsError):
+            ProblemSpec(alpha=1.0, q=Profile("zero", (1.0,)))
 
     @pytest.mark.parametrize("name,params", [("sine", (2.0, math.pi)), ("gaussian", (1.0, 30.0, 0.5)), ("hat", (1.0,))])
     def test_refinement_agrees_at_shared_nodes(self, name, params):

@@ -12,6 +12,7 @@ from wavebeam.discretize import (
     build_beam_operator,
     build_wave_operator,
     initial_state,
+    nonlinearity,
 )
 from wavebeam.errors import ConfigError, InstabilityError, UnknownSchemeError
 from wavebeam.integrators import (
@@ -163,6 +164,43 @@ class TestStep:
         assert exc_info.value.time is not None
 
 
+def unshared_step(prop, tab, spec, tau, y0):
+    """The tableau formula with every (k, weight, j) term applied on its own."""
+    n = prop.n
+    g, h = nonlinearity(spec.g), nonlinearity(spec.h)
+
+    def forcing(y):
+        return np.concatenate([np.zeros(n), g(y[:n]) + h(y[n:])])
+
+    def stage(c, row, f_stages):
+        out = prop.apply_stacked(0, tau, y0, c)
+        for j, combo in enumerate(row):
+            for k, w in combo:
+                out = out + tau * prop.apply_stacked(k, tau, w * f_stages[j], c)
+        return out
+
+    f_stages = [forcing(y0)]
+    for i in range(1, tab.s):
+        f_stages.append(forcing(stage(tab.c[i], tab.a[i], f_stages)))
+    return stage(1.0, tab.b, f_stages)
+
+
+@pytest.mark.parametrize(
+    "name,c2",
+    [("EI-E1", None), ("EI-SW21", 0.75), ("EI-SW21", 1.0), ("EI-SW22", 0.75), ("EI-SW22", 1.0),
+     ("EI-K4", None), ("EI-SW4", None)],
+)
+def test_step_matches_unshared_evaluation(name, c2):
+    # a shared term that was later modified in place would show up here
+    spec, op, prop = damped_wave_setup(n=12, g="sin")
+    y0 = initial_state(spec, op.n)
+    tab = build_tableau(name, c2)
+    tau = 0.23
+    got = step(prop, tab, spec, tau, y0).stacked()
+    want = unshared_step(prop, tab, spec, tau, y0.stacked())
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 class TestSolve:
     def test_linear_single_step_equals_exponential(self):
         spec, op, prop = damped_wave_setup(g="zero", T=0.8)
@@ -197,18 +235,31 @@ class TestSolve:
 
     def test_phi_evaluation_counting_k4(self):
         # EI-K4 needs 7 block tables: (c=1/2: k=0,1,2) + (c=1: k=0,1,2,3),
-        # all built in step one; 12 actions per step thereafter
+        # all built in step one; 8 actions per step thereafter, since stages
+        # 2 and 3 share exp and phi_1 at c=1/2, and stage 4 and the update
+        # share them at c=1 (12 unshared)
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res.stats.phi_evals == 7
-        assert res.stats.phi_applies == 12 * 3
+        assert res.stats.phi_applies == 8 * 3
         # same step size again: every (tau, c, k) table is a cache hit
         res2 = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res2.stats.phi_evals == 0
-        assert res2.stats.phi_applies == 12 * 3
+        assert res2.stats.phi_applies == 8 * 3
         # a different step size builds a fresh set
         res3 = solve(prop, build_tableau("EI-K4"), spec, 6)
         assert res3.stats.phi_evals == 7
+
+    @pytest.mark.parametrize(
+        "name,c2,applies",
+        [("EI-SW4", None, 8), ("EI-SW21", 0.75, 5), ("EI-SW21", 1.0, 3), ("EI-SW22", 1.0, 3)],
+    )
+    def test_phi_applies_per_step(self, name, c2, applies):
+        # exp(c tau A) y and phi_k terms of the same source combination are
+        # applied once per step; at c2 = 1 stage 2 shares with the update
+        spec, op, prop = damped_wave_setup(g="sin")
+        res = solve(prop, build_tableau(name, c2), spec, 4)
+        assert res.stats.phi_applies == applies * 4
 
     def test_phi_evaluation_counting_e1(self):
         spec, op, prop = damped_wave_setup(g="sin")
