@@ -13,7 +13,6 @@ from .discretize import (
     ProblemSpec,
     Profile,
     StateVector,
-    apply_nonlinearity,
     build_beam_operator,
     build_operator,
     build_wave_operator,
@@ -62,9 +61,7 @@ from .propagator import (
     apply_phi,
     apply_undamped_reference,
     build_propagator,
-    invert_positions,
     permutation_positions,
-    permute,
 )
 
 __version__ = "0.1.0"

@@ -128,7 +128,7 @@ def _schemes_from_json(value) -> list:
     return out
 
 
-def _apply_config_file(cfg: RunConfig, path: str) -> None:
+def _apply_config_file(cfg: RunConfig, path: str) -> str | None:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -196,9 +196,9 @@ def resolve_config(args) -> RunConfig:
     preset_id = None
     if args.config:
         preset_id = _apply_config_file(cfg, args.config)
-    if args.preset:
+    if args.preset is not None:
         preset_id = args.preset
-    if preset_id:
+    if preset_id is not None:
         _apply_preset(cfg, preset_id)
     if args.N is not None:
         cfg.n = args.N

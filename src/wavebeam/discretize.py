@@ -34,21 +34,48 @@ BEAM = "beam"
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Symmetric banded spatial operator with its grid metadata.
+    """Symmetric banded spatial operator, fully determined by (kind, n, ell).
 
-    ``entries`` is the dense n-by-n matrix; it is exactly symmetric by
-    construction (never symmetrized after the fact).
+    The stencil is never stored: ``entries`` computes the dense n-by-n
+    matrix on each access, exactly symmetric by construction. The solve path
+    never reads it; ``eigen.factorize`` works from (kind, n, ell) alone.
     """
 
     kind: str
     n: int
-    dx: float
     ell: float
-    entries: np.ndarray
+
+    def __post_init__(self):
+        least = {WAVE: 1, BEAM: 3}.get(self.kind)
+        if least is None:
+            raise InvalidDimensionError(f"unknown operator kind {self.kind!r}")
+        if self.n < least:
+            raise InvalidDimensionError(f"{self.kind} operator needs n >= {least}, got {self.n}")
+        if not self.ell > 0:
+            raise InvalidDimensionError(f"domain length must be positive, got {self.ell}")
 
     @property
-    def bandwidth(self) -> int:
-        return 1 if self.kind == WAVE else 2
+    def dx(self) -> float:
+        return self.ell / (self.n + 1)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense stencil matrix; see the module docstring for its entries."""
+        n, dx = self.n, self.dx
+        if self.kind == WAVE:
+            c = 1.0 / (dx * dx)
+            bands = (2.0 * c, -c)
+        else:
+            c = 1.0 / dx**4
+            bands = (6.0 * c, -4.0 * c, c)
+        out = np.zeros((n, n))
+        for k, value in enumerate(bands):
+            i = np.arange(n - k)
+            out[i, i + k] = value
+            out[i + k, i] = value
+        if self.kind == BEAM:
+            out[0, 0] = out[n - 1, n - 1] = 5.0 * c
+        return out
 
 
 @dataclass(frozen=True)
@@ -132,16 +159,7 @@ class StateVector:
 
 def build_wave_operator(n: int, ell: float) -> GridOperator:
     """Tridiagonal operator for -d^2/dx^2 with Dirichlet ends."""
-    if n < 1:
-        raise InvalidDimensionError(f"wave operator needs n >= 1, got {n}")
-    if not ell > 0:
-        raise InvalidDimensionError(f"domain length must be positive, got {ell}")
-    dx = ell / (n + 1)
-    c = 1.0 / (dx * dx)
-    entries = 2.0 * c * np.eye(n)
-    if n > 1:
-        entries -= c * (np.eye(n, k=1) + np.eye(n, k=-1))
-    return GridOperator(WAVE, n, dx, ell, entries)
+    return GridOperator(WAVE, n, ell)
 
 
 def build_beam_operator(n: int, ell: float) -> GridOperator:
@@ -150,26 +168,11 @@ def build_beam_operator(n: int, ell: float) -> GridOperator:
     The 5/dx^4 corner entries come from eliminating the zero-moment ghost
     values; this is the only beam boundary variant provided.
     """
-    if n < 3:
-        raise InvalidDimensionError(f"beam operator needs n >= 3, got {n}")
-    if not ell > 0:
-        raise InvalidDimensionError(f"domain length must be positive, got {ell}")
-    dx = ell / (n + 1)
-    c = 1.0 / dx**4
-    entries = 6.0 * c * np.eye(n)
-    entries[0, 0] = 5.0 * c
-    entries[n - 1, n - 1] = 5.0 * c
-    entries -= 4.0 * c * (np.eye(n, k=1) + np.eye(n, k=-1))
-    entries += c * (np.eye(n, k=2) + np.eye(n, k=-2))
-    return GridOperator(BEAM, n, dx, ell, entries)
+    return GridOperator(BEAM, n, ell)
 
 
 def build_operator(kind: str, n: int, ell: float) -> GridOperator:
-    if kind == WAVE:
-        return build_wave_operator(n, ell)
-    if kind == BEAM:
-        return build_beam_operator(n, ell)
-    raise InvalidDimensionError(f"unknown operator kind {kind!r}")
+    return GridOperator(kind, n, ell)
 
 
 def grid_points(n: int, ell: float) -> np.ndarray:
@@ -225,6 +228,9 @@ def _profile_function(name: str, params):
         raise ProfileParamsError(
             f"profile {name!r} takes {least} to {most} params, got {len(params)}"
         )
+    for i, value in enumerate(params, start=1):
+        if not math.isfinite(value):
+            raise ProfileParamsError(f"profile {name!r} param {i} must be finite, got {value}")
     return fn
 
 
@@ -253,13 +259,6 @@ def nonlinearity(name: str):
         return NONLINEARITIES[name]
     except KeyError:
         raise UnknownNonlinearityError(f"unknown nonlinearity {name!r}") from None
-
-
-def apply_nonlinearity(spec: ProblemSpec, y: StateVector) -> StateVector:
-    """Source term (0, g(u) + h(w)) of the first-order system."""
-    g = nonlinearity(spec.g)
-    h = nonlinearity(spec.h)
-    return StateVector(np.zeros_like(y.u), g(y.u) + h(y.w))
 
 
 def initial_state(spec: ProblemSpec, n: int) -> StateVector:

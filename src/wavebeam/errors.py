@@ -37,10 +37,6 @@ class PhiOrderError(WaveBeamError, ValueError):
     """Requested phi-function order outside the supported range."""
 
 
-class EigenConvergenceError(WaveBeamError, RuntimeError):
-    """Dense symmetric eigensolver failed to converge."""
-
-
 class InstabilityError(WaveBeamError, RuntimeError):
     """Time stepping produced non-finite values."""
 

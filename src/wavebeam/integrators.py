@@ -350,16 +350,15 @@ def merged_damping_solve(
 
     lin_spec = dataclasses.replace(spec, beta=0.0, gamma=0.0)
     prop = build_propagator(op, lin_spec, fact=fact)
-    g = nonlinearity(spec.g)
-    h = nonlinearity(spec.h)
+    nonlinear = _forcing_from_spec(spec, op.n)
     s_mat = op.entries
     beta, gamma = spec.beta, spec.gamma
     n = op.n
 
     def forcing(y: np.ndarray) -> np.ndarray:
         w = y[n:]
-        out = np.zeros_like(y)
-        out[n:] = g(y[:n]) + h(w) - beta * (s_mat @ w) - gamma * w
+        out = nonlinear(y)
+        out[n:] = out[n:] - beta * (s_mat @ w) - gamma * w
         return out
 
     return solve(prop, tableau, lin_spec, M, snapshot_every=snapshot_every, forcing=forcing)

@@ -220,11 +220,9 @@ def phi_block(k: int, t: float, p: ModeParams) -> Block2x2:
             -t * m * m * dval,
             z * dval + pval,
         )
-    # complex pair: (Re, Im) of phi_k at the root t*(m + i*n). The recursion
-    # divides by t*(m^2+n^2), is undefined at t = 0, and cancels for small
-    # arguments, so below |t*z| = 0.5 the entire-function series is used.
-    if t < 1e-14 or (m == 0.0 and n == 0.0):
-        return Block2x2(inv_fact, 0.0, 0.0, inv_fact)
+    # complex pair: (Re, Im) of phi_k at the root t*(m + i*n), n > 0. The
+    # recursion divides by t*(m^2+n^2) and cancels for small arguments, so
+    # below |t*z| = 0.5 the entire-function series is used.
     if t * math.hypot(m, n) < SERIES_RADIUS:
         rk, ik = _phi_series_complex(k, t * m, t * n)
     else:

@@ -35,9 +35,10 @@ def assemble_dense_A(op: GridOperator, spec: ProblemSpec) -> np.ndarray:
     if n > ASSEMBLE_MAX_N:
         raise OracleScaleError(f"dense assembly capped at n = {ASSEMBLE_MAX_N}, got {n}")
     eye = np.eye(n)
+    s_mat = op.entries
     top = np.hstack([np.zeros((n, n)), eye])
     bottom = np.hstack(
-        [-spec.alpha * op.entries - spec.delta * eye, -spec.beta * op.entries - spec.gamma * eye]
+        [-spec.alpha * s_mat - spec.delta * eye, -spec.beta * s_mat - spec.gamma * eye]
     )
     return np.vstack([top, bottom])
 

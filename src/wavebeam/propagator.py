@@ -8,14 +8,15 @@ to spectral coefficients (Q'u, Q'w), the permutation P' interleaves them,
 each mode's 2x2 block multiplies its pair, and one product with Q' takes
 both halves back.
 
-P is never stored as a matrix, only as the position array of its nonzero
-column per row ([1, 3, 5, 2, 4, 6] for n = 3).
+P is never formed or applied: the block tables are laid out in P's
+interleaved order, so strided slices of them act on the stacked halves
+directly. ``permutation_positions`` documents P as the position array of
+its nonzero column per row ([1, 3, 5, 2, 4, 6] for n = 3).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,68 +34,41 @@ def permutation_positions(n: int) -> np.ndarray:
     return pos
 
 
-def invert_positions(pos: np.ndarray) -> np.ndarray:
-    """Position array of the transposed permutation."""
-    inv = np.empty_like(pos)
-    inv[pos - 1] = np.arange(1, pos.size + 1)
-    return inv
-
-
-def permute(v: np.ndarray, pos: np.ndarray) -> np.ndarray:
-    """Apply the permutation with 1-based position array pos: out[i] = v[pos[i]-1]."""
-    return v[pos - 1]
-
-
-@dataclass
-class CachedStepFunctions:
-    """Mode-block tables for one (tau, c) key, phi orders filled on demand.
-
-    Each table is 2-by-2n: columns 2i, 2i+1 hold phi_k(c*tau*G_i).
-    """
-
-    key: tuple
-    blocks: dict = field(default_factory=dict)
-
-
 class BlockPropagator:
     """Engine applying matrix functions of tA to state vectors.
 
     Each block table is built once, under a lock, on first use of its
-    (tau, c, k) combination. The ``tables_built`` and ``applies`` counters
-    are plain attributes and are not thread-safe.
+    (k, c*tau) key. The ``tables_built`` and ``applies`` counters are plain
+    attributes and are not thread-safe.
     """
 
-    def __init__(self, fact: SpectralFactorization, modes, perm: np.ndarray, params):
+    def __init__(self, fact: SpectralFactorization, modes, params):
         self.fact = fact
         self.modes = tuple(modes)
-        self.perm = perm
         self.params = params
         self.n = fact.n
         self._q_t = np.ascontiguousarray(fact.q.T)
-        self._cache: dict[tuple, CachedStepFunctions] = {}
+        self._tables: dict[tuple, np.ndarray] = {}
         self._lock = threading.Lock()
         self.tables_built = 0
         self.applies = 0
 
-    def step_functions(self, tau: float, c: float = 1.0) -> CachedStepFunctions:
-        key = (float(tau), float(c))
-        entry = self._cache.get(key)
-        if entry is None:
-            with self._lock:
-                entry = self._cache.setdefault(key, CachedStepFunctions(key))
-        return entry
-
     def table(self, k: int, tau: float, c: float = 1.0) -> np.ndarray:
+        """2-by-2n table of phi_k(c*tau*G_i), mode i in columns 2i, 2i+1.
+
+        Tables are keyed by (k, c*tau), so equal effective times, such as
+        (tau, 1/2) and (tau/2, 1), share one table.
+        """
         if not 0 <= k <= K_MAX:
             raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX}")
-        entry = self.step_functions(tau, c)
-        tab = entry.blocks.get(k)
+        key = (k, float(tau) * float(c))
+        tab = self._tables.get(key)
         if tab is None:
             with self._lock:
-                tab = entry.blocks.get(k)
+                tab = self._tables.get(key)
                 if tab is None:
-                    tab = self._build_table(k, float(tau) * float(c))
-                    entry.blocks[k] = tab
+                    tab = self._build_table(*key)
+                    self._tables[key] = tab
                     self.tables_built += 1
         return tab
 
@@ -132,7 +106,7 @@ class BlockPropagator:
 def build_propagator(
     op: GridOperator, spec: ProblemSpec, fact: SpectralFactorization | None = None
 ) -> BlockPropagator:
-    """Factorize (unless given), classify every mode, and build the permutation."""
+    """Factorize (unless given) and classify every mode."""
     if fact is None:
         fact = factorize(op)
     if fact.n != op.n:
@@ -144,7 +118,7 @@ def build_propagator(
         for lam in fact.lam
     )
     params = (spec.alpha, spec.beta, spec.gamma, spec.delta)
-    return BlockPropagator(fact, modes, permutation_positions(op.n), params)
+    return BlockPropagator(fact, modes, params)
 
 
 def apply_phi(prop: BlockPropagator, k: int, t: float, v: StateVector) -> StateVector:

@@ -231,10 +231,14 @@ SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--sche
                                  "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": [1, 2, 3]},
                                  "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": [math.nan, 3]},
+                                 "scheme": "EI-E1"}),
         (["solve", "--N", "10", "--scheme", "EI-E1", "--M", "4"], {"preset": ["wave1"]}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "preset": "", "scheme": "EI-E1"}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
-         "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "preset-list"],
+         "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
+         "preset-list", "preset-empty"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:

@@ -1,16 +1,18 @@
 """Grid operators, profiles, and nonlinearity sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from wavebeam.discretize import (
+    GridOperator,
     ProblemSpec,
     Profile,
     StateVector,
-    apply_nonlinearity,
     build_beam_operator,
+    build_operator,
     build_wave_operator,
     sample_profile,
 )
@@ -21,6 +23,7 @@ from wavebeam.errors import (
     UnknownNonlinearityError,
     UnknownProfileError,
 )
+from wavebeam.integrators import _forcing_from_spec
 
 
 class TestWaveOperator:
@@ -81,6 +84,25 @@ class TestBeamOperator:
             build_beam_operator(2, 1.0)
 
 
+class TestGridOperator:
+    @pytest.mark.parametrize("kind,n,ell", [("beam", 2, 1.0), ("wave", 4, math.nan),
+                                            ("plate", 4, 1.0)])
+    def test_direct_construction_is_checked(self, kind, n, ell):
+        with pytest.raises(InvalidDimensionError):
+            GridOperator(kind, n, ell)
+
+    def test_build_stores_no_dense_matrix(self):
+        # a dense beam stencil at n = 2000 would be 32 MB
+        tracemalloc.start()
+        try:
+            op = build_operator("beam", 2000, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.dx == 1.0 / 2001
+        assert peak < 1 << 20, f"build_operator allocated {peak} bytes"
+
+
 @pytest.mark.parametrize("builder,n_min", [(build_wave_operator, 1), (build_beam_operator, 3)])
 def test_positive_definite_up_to_64(builder, n_min):
     for n in range(n_min, 65):
@@ -122,6 +144,11 @@ class TestProfiles:
         with pytest.raises(ProfileParamsError):
             ProblemSpec(alpha=1.0, q=Profile("zero", (1.0,)))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_param(self, value):
+        with pytest.raises(ProfileParamsError, match="param 1 must be finite"):
+            ProblemSpec(alpha=1.0, p=Profile("sine", (value, 3.0)))
+
     @pytest.mark.parametrize("name,params", [("sine", (2.0, math.pi)), ("gaussian", (1.0, 30.0, 0.5)), ("hat", (1.0,))])
     def test_refinement_agrees_at_shared_nodes(self, name, params):
         # x_i at n and x_{2i} at 2n+1 are the same point, bit for bit
@@ -131,22 +158,28 @@ class TestProfiles:
         assert np.array_equal(coarse, fine[1::2])
 
 
+def forcing(spec, u, w):
+    """The production source term F(y) = (0, g(u) + h(w)) as a StateVector."""
+    y = StateVector(u, w)
+    return StateVector.from_stacked(_forcing_from_spec(spec, y.n)(y.stacked()))
+
+
 class TestNonlinearity:
     def test_sin(self):
         spec = ProblemSpec(alpha=1.0, g="sin")
-        out = apply_nonlinearity(spec, StateVector([0.0, math.pi / 2], [3.0, -1.0]))
+        out = forcing(spec, [0.0, math.pi / 2], [3.0, -1.0])
         assert np.array_equal(out.u, [0.0, 0.0])
         assert np.allclose(out.w, [0.0, 1.0], atol=1e-16)
 
     def test_signed_square(self):
         spec = ProblemSpec(alpha=1.0, g="signed_square")
-        out = apply_nonlinearity(spec, StateVector([-2.0, 3.0], [0.0, 0.0]))
+        out = forcing(spec, [-2.0, 3.0], [0.0, 0.0])
         assert np.array_equal(out.w, [-4.0, 9.0])
 
     def test_two_nonlinearities(self):
         # g(u) = -u|u|^3 and h(w) = -w|w| at u = 1, w = -2
         spec = ProblemSpec(alpha=1.0, g="neg_signed_fourth", h="neg_signed_square")
-        out = apply_nonlinearity(spec, StateVector([1.0], [-2.0]))
+        out = forcing(spec, [1.0], [-2.0])
         assert np.array_equal(out.w, [3.0])
 
     def test_unknown_name(self):

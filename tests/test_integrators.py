@@ -246,9 +246,10 @@ class TestSolve:
         res2 = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res2.stats.phi_evals == 0
         assert res2.stats.phi_applies == 8 * 3
-        # a different step size builds a fresh set
+        # at half the step size, c=1 reuses the c=1/2 tables of k=0,1,2
+        # (same c*tau), so only c=1/2 (k=0,1,2) and c=1 (k=3) are new
         res3 = solve(prop, build_tableau("EI-K4"), spec, 6)
-        assert res3.stats.phi_evals == 7
+        assert res3.stats.phi_evals == 4
 
     @pytest.mark.parametrize(
         "name,c2,applies",

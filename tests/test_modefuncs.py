@@ -216,3 +216,17 @@ class TestOracleEquivalence:
                 got = phi_block(k, t, p).as_array()
                 err = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
                 assert err <= 1e-11, f"case={p.case} t={t} k={k}: {err:.2e}"
+
+
+@pytest.mark.parametrize("t", [1e-15, 5e-15])
+@pytest.mark.parametrize("k", [1, 2])
+def test_tiny_t_on_stiff_complex_mode(k, t):
+    # the top mode of the beam at n = 600 under beam1's coefficients has
+    # |z| ~ 5.6e6, so |t*z| ~ 1e-8 is small but phi_k(t*G) is not I/k!
+    dx = 1.0 / 601
+    lam = (4.0 / dx**2 * math.sin(600 * math.pi / 1202) ** 2) ** 2
+    p = classify_mode(lam, 15.0, 3e-6, 3e-4, 10.0)
+    assert p.case == COMPLEX_PAIR and math.hypot(p.m, p.n) > 5e6
+    want = dense_phi(k, t * mode_matrix(p))
+    got = phi_block(k, t, p).as_array()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
