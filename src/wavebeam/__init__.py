@@ -3,7 +3,7 @@
 The linear part of the semi-discretized system is propagated exactly: the
 symmetric spatial operator is diagonalized once, the 2n-by-2n system matrix
 splits into n independent 2x2 mode blocks, and exp/phi functions of those
-blocks have closed forms in all three discriminant regimes.
+blocks have one closed form, r*I + s*(G - m*I), in every discriminant case.
 """
 
 from .discretize import (
@@ -40,11 +40,9 @@ from .modefuncs import (
     Block2x2,
     ModeParams,
     classify_mode,
-    exp_block,
     mode_matrix,
     phi_block,
     scalar_phi,
-    scalar_phi_deriv,
 )
 from .oracles import (
     ExperimentPreset,

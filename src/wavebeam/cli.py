@@ -1,9 +1,9 @@
 """Command-line front end: single runs, convergence studies, mode diagnostics.
 
-Configuration comes from three layers: a JSON config file, an optional named
-preset, and command-line flags, with later layers winning (flags override
-everything). All numeric CSV output is written with 17 significant digits so
-values round-trip exactly.
+Configuration comes from three layers, each overriding the one before: a
+named preset (``--preset``, or the config file's ``"preset"`` field), the
+config file's own fields, and command-line flags. All numeric CSV output is
+written with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def _schemes_from_json(value) -> list:
     return out
 
 
-def _apply_config_file(cfg: RunConfig, path: str) -> str | None:
+def _read_config_file(path: str) -> dict:
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -138,6 +138,13 @@ def _apply_config_file(cfg: RunConfig, path: str) -> str | None:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    preset = data.get("preset")
+    if preset is not None and not isinstance(preset, str):
+        raise ConfigError(f"config field 'preset' must be a string, got {preset!r}")
+    return data
+
+
+def _apply_config_fields(cfg: RunConfig, data: dict) -> None:
     scalar_fields = {
         "kind": str,
         "alpha": float,
@@ -171,10 +178,6 @@ def _apply_config_file(cfg: RunConfig, path: str) -> str | None:
         cfg.m_list = [_number("M", m, int) for m in (raw if isinstance(raw, list) else [raw])]
     if "schemes" in data:
         cfg.schemes = _schemes_from_json(data["schemes"])
-    preset = data.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError(f"config field 'preset' must be a string, got {preset!r}")
-    return preset
 
 
 def _apply_preset(cfg: RunConfig, preset_id: str) -> None:
@@ -193,13 +196,11 @@ def _apply_preset(cfg: RunConfig, preset_id: str) -> None:
 
 def resolve_config(args) -> RunConfig:
     cfg = RunConfig()
-    preset_id = None
-    if args.config:
-        preset_id = _apply_config_file(cfg, args.config)
-    if args.preset is not None:
-        preset_id = args.preset
+    data = _read_config_file(args.config) if args.config else {}
+    preset_id = args.preset if args.preset is not None else data.get("preset")
     if preset_id is not None:
         _apply_preset(cfg, preset_id)
+    _apply_config_fields(cfg, data)
     if args.N is not None:
         cfg.n = args.N
         cfg.n_from_flag = True

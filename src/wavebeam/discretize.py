@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -36,9 +38,9 @@ BEAM = "beam"
 class GridOperator:
     """Symmetric banded spatial operator, fully determined by (kind, n, ell).
 
-    The stencil is never stored: ``entries`` computes the dense n-by-n
-    matrix on each access, exactly symmetric by construction. The solve path
-    never reads it; ``eigen.factorize`` works from (kind, n, ell) alone.
+    ``stencil`` builds S once, on first use, as a sparse banded matrix; the
+    dense n-by-n ``entries`` are made from it only on request, for the
+    oracles. ``eigen.factorize`` works from (kind, n, ell) alone.
     """
 
     kind: str
@@ -49,6 +51,8 @@ class GridOperator:
         least = {WAVE: 1, BEAM: 3}.get(self.kind)
         if least is None:
             raise InvalidDimensionError(f"unknown operator kind {self.kind!r}")
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise InvalidDimensionError(f"operator size must be an integer, got {self.n!r}")
         if self.n < least:
             raise InvalidDimensionError(f"{self.kind} operator needs n >= {least}, got {self.n}")
         if not self.ell > 0:
@@ -58,24 +62,23 @@ class GridOperator:
     def dx(self) -> float:
         return self.ell / (self.n + 1)
 
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense stencil matrix; see the module docstring for its entries."""
+    @cached_property
+    def stencil(self) -> sp.csr_matrix:
+        """Sparse S; see the module docstring for its entries."""
         n, dx = self.n, self.dx
         if self.kind == WAVE:
             c = 1.0 / (dx * dx)
-            bands = (2.0 * c, -c)
-        else:
-            c = 1.0 / dx**4
-            bands = (6.0 * c, -4.0 * c, c)
-        out = np.zeros((n, n))
-        for k, value in enumerate(bands):
-            i = np.arange(n - k)
-            out[i, i + k] = value
-            out[i + k, i] = value
-        if self.kind == BEAM:
-            out[0, 0] = out[n - 1, n - 1] = 5.0 * c
-        return out
+            return sp.diags([2.0 * c, -c, -c], [0, 1, -1], shape=(n, n), format="csr")
+        c = 1.0 / dx**4
+        diag = np.full(n, 6.0 * c)
+        diag[0] = diag[-1] = 5.0 * c
+        return sp.diags([diag, -4.0 * c, -4.0 * c, c, c], [0, 1, -1, 2, -2], shape=(n, n),
+                        format="csr")
+
+    @property
+    def entries(self) -> np.ndarray:
+        """Dense S, the same floats as ``stencil``."""
+        return self.stencil.toarray()
 
 
 @dataclass(frozen=True)

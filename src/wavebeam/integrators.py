@@ -296,11 +296,9 @@ def rk4_step(f, tau: float, y: np.ndarray) -> np.ndarray:
 
 def assemble_sparse_A(op: GridOperator, spec: ProblemSpec) -> sp.csr_matrix:
     """Sparse 2n-by-2n system matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]]."""
-    n = op.n
-    s_mat = sp.csr_matrix(op.entries)
-    eye = sp.identity(n, format="csr")
-    lower_left = -spec.alpha * s_mat - spec.delta * eye
-    lower_right = -spec.beta * s_mat - spec.gamma * eye
+    eye = sp.identity(op.n, format="csr")
+    lower_left = -spec.alpha * op.stencil - spec.delta * eye
+    lower_right = -spec.beta * op.stencil - spec.gamma * eye
     return sp.bmat([[None, eye], [lower_left, lower_right]], format="csr")
 
 
@@ -351,7 +349,7 @@ def merged_damping_solve(
     lin_spec = dataclasses.replace(spec, beta=0.0, gamma=0.0)
     prop = build_propagator(op, lin_spec, fact=fact)
     nonlinear = _forcing_from_spec(spec, op.n)
-    s_mat = op.entries
+    s_mat = op.stencil
     beta, gamma = spec.beta, spec.gamma
     n = op.n
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from wavebeam.cli import main
+from wavebeam.cli import build_parser, main, resolve_config
 
 LINEAR_CONFIG = {
     "kind": "wave",
@@ -204,6 +204,13 @@ class TestConfigPrecedence:
         rc = main(["solve", "--config", cfg, "--N", "10", "--T", "0.25",
                    "--scheme", "EI-E1", "--M", "4", "--out", str(out)])
         assert rc == 0 and len(read_csv(out)) == 11
+
+    def test_config_fields_beat_its_preset_and_flags_beat_both(self, tmp_path):
+        cfg = write_config(tmp_path, {"preset": "wave1", "g": "zero", "alpha": 1.0, "T": 2.0})
+        args = build_parser().parse_args(["solve", "--config", cfg, "--T", "0.25"])
+        got = resolve_config(args)
+        assert (got.g, got.alpha, got.T) == ("zero", 1.0, 0.25)
+        assert got.n == 200  # from the preset
 
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -86,7 +86,8 @@ class TestBeamOperator:
 
 class TestGridOperator:
     @pytest.mark.parametrize("kind,n,ell", [("beam", 2, 1.0), ("wave", 4, math.nan),
-                                            ("plate", 4, 1.0)])
+                                            ("plate", 4, 1.0), ("wave", 2.5, 1.0),
+                                            ("wave", True, 1.0)])
     def test_direct_construction_is_checked(self, kind, n, ell):
         with pytest.raises(InvalidDimensionError):
             GridOperator(kind, n, ell)

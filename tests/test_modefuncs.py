@@ -12,11 +12,9 @@ from wavebeam.modefuncs import (
     REAL_DISTINCT,
     ModeParams,
     classify_mode,
-    exp_block,
     mode_matrix,
     phi_block,
     scalar_phi,
-    scalar_phi_deriv,
 )
 from wavebeam.oracles import dense_phi
 
@@ -89,13 +87,6 @@ class TestScalarPhi:
             lo, hi = scalar_phi(k, -0.5000001), scalar_phi(k, -0.4999999)
             assert abs(hi - lo) < 1e-6
 
-    def test_deriv_finite_difference(self):
-        for k in (1, 2, 3):
-            for z in (-3.0, -0.3, 0.2, 2.0):
-                h = 1e-6
-                fd = (scalar_phi(k, z + h) - scalar_phi(k, z - h)) / (2 * h)
-                assert scalar_phi_deriv(k, z) == pytest.approx(fd, rel=1e-8)
-
     def test_order_cap(self):
         with pytest.raises(PhiOrderError):
             scalar_phi(9, 0.1)
@@ -104,22 +95,22 @@ class TestScalarPhi:
 class TestExpBlock:
     def test_identity_at_zero(self):
         for p in modes():
-            assert np.array_equal(exp_block(0.0, p).as_array(), np.eye(2))
+            assert np.array_equal(phi_block(0, 0.0, p).as_array(), np.eye(2))
 
     def test_rotation_quarter_period(self):
         # m = 0, n = 2: exp((pi/4) G) rotates by pi/2
         p = classify_mode(4.0, 1.0, 0.0, 0.0, 0.0)
-        got = exp_block(math.pi / 4, p).as_array()
+        got = phi_block(0, math.pi / 4, p).as_array()
         assert np.allclose(got, [[0.0, 0.5], [-2.0, 0.0]], atol=1e-15)
 
     def test_double_root_hand_value(self):
         p = classify_mode(1.0, 1.0, 2.0, 0.0, 0.0)
-        got = exp_block(1.0, p).as_array()
+        got = phi_block(0, 1.0, p).as_array()
         assert np.allclose(got, math.exp(-1.0) * np.array([[2.0, 1.0], [-1.0, 0.0]]), rtol=1e-15)
 
     def test_negative_t_rejected(self):
         with pytest.raises(ValueError):
-            exp_block(-0.1, modes()[0])
+            phi_block(0, -0.1, modes()[0])
 
 
 class TestPhiBlock:
@@ -152,8 +143,8 @@ class TestBlockProperties:
         for p in modes():
             for _ in range(20):
                 t1, t2 = rng.uniform(0.0, 1.5, size=2)
-                lhs = exp_block(t1 + t2, p).as_array()
-                rhs = exp_block(t1, p).as_array() @ exp_block(t2, p).as_array()
+                lhs = phi_block(0, t1 + t2, p).as_array()
+                rhs = phi_block(0, t1, p).as_array() @ phi_block(0, t2, p).as_array()
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(lhs)), 1.0)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -179,9 +170,9 @@ class TestBlockProperties:
             assert below.case == COMPLEX_PAIR
             assert above.case == REAL_DISTINCT
             assert middle.case == DOUBLE_ROOT
-            mid_e = exp_block(t, middle).as_array()
+            mid_e = phi_block(0, t, middle).as_array()
             for p in (below, above):
-                diff = np.max(np.abs(exp_block(t, p).as_array() - mid_e))
+                diff = np.max(np.abs(phi_block(0, t, p).as_array() - mid_e))
                 assert diff <= 1e-8 * np.max(np.abs(mid_e))
                 for k in (1, 2, 3):
                     mid_p = phi_block(k, t, middle).as_array()

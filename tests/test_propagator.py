@@ -14,7 +14,7 @@ from wavebeam.discretize import (
 )
 from wavebeam.eigen import factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
-from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, exp_block
+from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, phi_block
 from wavebeam.oracles import assemble_dense_A, dense_phi, load_preset
 from wavebeam.propagator import (
     apply_phi,
@@ -198,5 +198,5 @@ class TestStepFunctionCache:
         prop = build_propagator(op, spec)
         tab = prop.table(0, 0.2)
         assert tab.shape == (2, 10)
-        blk = exp_block(0.2, prop.modes[3]).as_array()
+        blk = phi_block(0, 0.2, prop.modes[3]).as_array()
         assert np.array_equal(tab[:, 6:8], blk)
