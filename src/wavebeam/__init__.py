@@ -33,11 +33,11 @@ from .integrators import (
     step,
 )
 from .modefuncs import (
+    CASE_NAMES,
     COMPLEX_PAIR,
     DOUBLE_ROOT,
     K_MAX,
     REAL_DISTINCT,
-    Block2x2,
     ModeParams,
     classify_mode,
     mode_matrix,

@@ -19,7 +19,7 @@ from .discretize import Profile, ProblemSpec, build_operator, grid_points
 from .eigen import factorize
 from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
-from .modefuncs import classify_mode
+from .modefuncs import CASE_NAMES, classify_mode
 from .oracles import block_oracle_suite, discrete_l2_error, load_preset, observed_order
 from .propagator import build_propagator
 
@@ -116,15 +116,17 @@ def _profile_from_json(value) -> Profile:
 
 
 def _schemes_from_json(value) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"config field 'schemes' must be a list, got {value!r}")
     out = []
     for item in value:
         if isinstance(item, str):
             out.append((item, None))
-        elif isinstance(item, dict) and "name" in item:
+        elif isinstance(item, dict) and isinstance(item.get("name"), str):
             c2 = item.get("c2")
             out.append((item["name"], None if c2 is None else _number("c2", c2, float)))
         else:
-            raise ConfigError(f"scheme entries need a 'name' (and optional 'c2'), got {item!r}")
+            raise ConfigError(f"scheme entries need a string 'name' (optional 'c2'), got {item!r}")
     return out
 
 
@@ -282,6 +284,8 @@ def cmd_converge(cfg: RunConfig) -> int:
         raise ConfigError(f"converge needs at least 3 step counts, got {cfg.m_list}")
     if cfg.m_ref is None:
         raise ConfigError("converge needs a reference step count (--Mref)")
+    if cfg.m_ref <= max(cfg.m_list):
+        raise ConfigError(f"M_ref = {cfg.m_ref} must exceed the largest M = {max(cfg.m_list)}")
     schemes = cfg.scheme_list()
     spec, op, prop = _build_problem(cfg)
     ref_tab = build_tableau(cfg.ref_scheme, cfg.ref_c2)
@@ -307,10 +311,11 @@ def cmd_modes(cfg: RunConfig) -> int:
     spec = cfg.problem_spec()
     op = build_operator(cfg.kind, cfg.grid_size(), spec.ell)
     fact = factorize(op)
-    rows = []
-    for i, lam in enumerate(fact.lam, start=1):
-        p = classify_mode(float(lam), spec.alpha, spec.beta, spec.gamma, spec.delta)
-        rows.append((str(i), _fmt(p.lam), _fmt(p.m), _fmt(p.n), p.case))
+    p = classify_mode(fact.lam, spec.alpha, spec.beta, spec.gamma, spec.delta)
+    rows = [
+        (str(i), _fmt(lam), _fmt(m), _fmt(n), CASE_NAMES[case])
+        for i, (lam, m, n, case) in enumerate(zip(p.lam, p.m, p.n, p.case), start=1)
+    ]
     out = cfg.out or "modes.csv"
     _write_csv(out, ("index", "lambda", "m", "n", "case"), rows)
     print(f"wrote {out} ({len(rows)} modes)")

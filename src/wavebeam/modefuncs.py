@@ -1,4 +1,4 @@
-"""Closed-form exp and phi-functions on the 2x2 mode blocks, no complex arithmetic.
+"""Closed-form exp and phi-functions of the 2x2 mode blocks, over whole spectra.
 
 Each spatial eigenmode lam of the operator S contributes the block
 
@@ -12,9 +12,13 @@ t*G is affine in H:
     phi_k(t*G) = r*I + s*H = [[r - m*s, s], [-a*s, r + m*s]],
 
 where r and s*eps*n are the even and odd parts of phi_k at the roots
-t*(m +- eps*n). With x = t*m, y = t*n and w = sigma*y^2 one formula serves
-every discriminant case and every k; three regimes evaluate (r, s) in real
-arithmetic, dividing by n only where real roots are well separated:
+t*(m +- eps*n). ``classify_mode`` maps a scalar or an array of eigenvalues
+to one ``ModeParams`` of arrays lam, m, n and case, where case is sigma
+itself (``CASE_NAMES`` spells it out for text output); ``phi_block`` returns
+the (2, 2) + m.shape array of the blocks phi_k(t*G_i). With x = t*m,
+y = t*n and w = sigma*y^2 one formula serves every case and every k. Boolean
+masks split the modes into three regimes, each evaluated only on its own
+modes, so no branch overflows or divides by zero on another mode's values:
 
 * series, largest root modulus below 1: sum z^i/(i+k)! with the powers
   z^i = R + eps*y*e from the recurrence (R, e) -> (R*x + w*e, e*x + R);
@@ -23,8 +27,10 @@ arithmetic, dividing by n only where real roots are well separated:
 * recurrence, otherwise: from exp(t*G), whose (r, s/t) are
   e^x*(cosh y, sinh(y)/y), e^x*(cos y, sin(y)/y) or e^x*(1, 1), apply
   phi_j = (t*G)^{-1} (phi_{j-1} - I/(j-1)!), which divides only by
-  det(t*G) = x^2 - w >= 8x^2/9. Both roots then have modulus >= 1/2, the
-  radius above which ``scalar_phi`` also recurs.
+  det(t*G) = x^2 - w >= 8x^2/9.
+
+Only the per-root regime divides by n. ``scalar_phi`` is the y = 0 case of
+the same kernel, so a single root also leaves the series at modulus 1.
 
 Against a 40-digit reference of the same block, swept over 1e-3 <= |t*z| <=
 30, all k and all cases, a third of the samples within 1e-8..1e-1 of
@@ -41,12 +47,9 @@ import numpy as np
 
 from .errors import PhiOrderError
 
-REAL_DISTINCT = "real_distinct"
-DOUBLE_ROOT = "double_root"
-COMPLEX_PAIR = "complex_pair"
-
-# sigma = sign of the discriminant, per case
-SIGMA = {REAL_DISTINCT: 1.0, DOUBLE_ROOT: 0.0, COMPLEX_PAIR: -1.0}
+# the case of a mode is sigma, the sign of its discriminant
+REAL_DISTINCT, DOUBLE_ROOT, COMPLEX_PAIR = 1.0, 0.0, -1.0
+CASE_NAMES = {1.0: "real_distinct", 0.0: "double_root", -1.0: "complex_pair"}
 
 K_MAX = 4
 
@@ -54,123 +57,113 @@ K_MAX = 4
 # does not flip with the rounding of its discriminant.
 DISC_TOL = 1e-12
 
-# scalar phi_k: Taylor series below this |z|, recurrence from e^z above
-SERIES_RADIUS = 0.5
 SERIES_RTOL = 1e-18
 
 
 @dataclass(frozen=True)
 class ModeParams:
-    """One mode's eigenvalue, root parameters (m, n), and discriminant case."""
+    """Eigenvalues, root parameters (m, n) and case sigma of a set of modes."""
 
-    lam: float
-    m: float
-    n: float
-    case: str
-
-
-@dataclass(frozen=True)
-class Block2x2:
-    """Dense 2x2 block, row-major fields."""
-
-    a11: float
-    a12: float
-    a21: float
-    a22: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]])
+    lam: np.ndarray
+    m: np.ndarray
+    n: np.ndarray
+    case: np.ndarray
 
 
-def classify_mode(lam: float, alpha: float, beta: float, gamma: float, delta: float) -> ModeParams:
-    """Case tag and (m, n) for the mode block of eigenvalue lam."""
+def classify_mode(lam, alpha: float, beta: float, gamma: float, delta: float) -> ModeParams:
+    """Case sigma and (m, n) of the mode block of each eigenvalue in lam."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if beta < 0 or gamma < 0 or delta < 0:
         raise ValueError("beta, gamma, delta must be non-negative")
+    lam = np.asarray(lam, dtype=float)
     b = beta * lam + gamma
     a = alpha * lam + delta
     disc = b * b - 4.0 * a
-    scale = max(1.0, b * b, 4.0 * abs(a))
-    m = -0.5 * b
-    if disc > DISC_TOL * scale:
-        return ModeParams(lam, m, 0.5 * math.sqrt(disc), REAL_DISTINCT)
-    if disc < -DISC_TOL * scale:
-        return ModeParams(lam, m, 0.5 * math.sqrt(-disc), COMPLEX_PAIR)
-    return ModeParams(lam, m, 0.0, DOUBLE_ROOT)
+    scale = np.maximum(np.maximum(1.0, b * b), 4.0 * np.abs(a))
+    case = np.where(np.abs(disc) > DISC_TOL * scale, np.sign(disc), DOUBLE_ROOT)
+    n = np.where(case != DOUBLE_ROOT, 0.5 * np.sqrt(np.abs(disc)), 0.0)
+    return ModeParams(lam, -0.5 * b, n, case)
 
 
 def mode_matrix(p: ModeParams) -> np.ndarray:
-    """Reconstruct the block G from (m, n, case), with a = m^2 - sigma*n^2."""
-    a = p.m * p.m - SIGMA[p.case] * p.n * p.n
-    return np.array([[0.0, 1.0], [-a, 2.0 * p.m]])
+    """The blocks G, shape (2, 2) + m.shape, with a = m^2 - sigma*n^2."""
+    a = p.m * p.m - p.case * p.n * p.n
+    return np.array([[np.zeros_like(a), np.ones_like(a)], [-a, 2.0 * p.m]])
 
 
-def scalar_phi(k: int, z: float) -> float:
+def scalar_phi(k: int, z):
     """phi_0(z) = e^z; phi_k(z) = (phi_{k-1}(z) - phi_{k-1}(0))/z for k >= 1.
 
-    The recurrence cancels badly for small |z|, so the Taylor series
-    sum_j z^j/(j+k)! is used below |z| = 0.5.
+    The series below |z| = 1, the recurrence above, as for a double root.
     """
     if not 0 <= k <= K_MAX + 2:
         raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX + 2}")
-    if k == 0:
-        return math.exp(z)
-    if abs(z) >= SERIES_RADIUS:
-        val = math.exp(z)
+    z = np.asarray(z, dtype=float)
+    zero = np.zeros(z.size)
+    r, _ = _phi_rs(k, 1.0, z.ravel(), zero, zero)
+    return r.reshape(z.shape)[()]
+
+
+def _phi_rs(k: int, t: float, m: np.ndarray, n: np.ndarray, sigma: np.ndarray):
+    """(r, s) of phi_k(t*G) = r*I + s*H on flat arrays of modes."""
+    x, y = t * m, t * n
+    w = sigma * y * y
+    r, s = np.empty_like(x), np.empty_like(x)
+    real = sigma > 0
+    series = np.where(real, np.abs(x) + y, np.hypot(x, y)) < 1.0
+    per_root = ~series & real & (3.0 * y > np.abs(x))
+    rec = ~(series | per_root)
+
+    if series.any():
+        # (R, e)/(i+k)! of z^i = R + eps*y*e, summed into (r, s/t)
+        xs, ws = x[series], w[series]
+        cr, ce = np.full_like(xs, 1.0 / math.factorial(k)), np.zeros_like(xs)
+        rs, qs = cr.copy(), ce.copy()
+        for j in range(k + 1, k + 40):
+            cr, ce = (cr * xs + ws * ce) / j, (ce * xs + cr) / j
+            rs += cr
+            qs += ce
+            if np.all(np.abs(cr) + np.abs(ce) <= SERIES_RTOL * (np.abs(rs) + np.abs(qs))):
+                break
+        r[series], s[series] = rs, t * qs
+
+    if per_root.any():
+        xp, yp = x[per_root], y[per_root]
+        fp, fm = scalar_phi(k, xp + yp), scalar_phi(k, xp - yp)
+        r[per_root], s[per_root] = 0.5 * (fp + fm), 0.5 * (fp - fm) / n[per_root]
+
+    if rec.any():
+        xr, yr, sr, wr = x[rec], y[rec], sigma[rec], w[rec]
+        rr, qr = np.empty_like(xr), np.empty_like(xr)
+        pos, neg = sr > 0, sr < 0
+        dbl = ~(pos | neg)
+        # e^x*cosh(y), e^x*sinh(y)/y without overflow in cosh
+        ep, d = np.exp(xr[pos] + yr[pos]), np.expm1(-2.0 * yr[pos])
+        rr[pos], qr[pos] = ep * (1.0 + 0.5 * d), -0.5 * ep * d / yr[pos]
+        ex = np.exp(xr[neg])
+        rr[neg], qr[neg] = ex * np.cos(yr[neg]), ex * np.sin(yr[neg]) / yr[neg]
+        rr[dbl] = qr[dbl] = np.exp(xr[dbl])
+        det = xr * xr - wr
+        inv_fact = 1.0
         for j in range(1, k + 1):
-            val = (val - 1.0 / math.factorial(j - 1)) / z
-        return val
-    term = 1.0 / math.factorial(k)
-    total = term
-    j = 1
-    while j <= 60:
-        term *= z / (j + k)
-        total += term
-        if abs(term) <= SERIES_RTOL * abs(total):
-            break
-        j += 1
-    return total
+            rho = rr - inv_fact
+            rr, qr = (xr * rho - wr * qr) / det, (xr * qr - rho) / det
+            inv_fact /= j
+        r[rec], s[rec] = rr, t * qr
+    return r, s
 
 
-def phi_block(k: int, t: float, p: ModeParams) -> Block2x2:
-    """phi_k(t*G) = r*I + s*(G - m*I) for one mode block; k = 0 is exp(t*G)."""
+def phi_block(k: int, t: float, modes: ModeParams) -> np.ndarray:
+    """phi_k(t*G_i) = r*I + s*(G_i - m_i*I) for every mode; k = 0 is exp(t*G).
+
+    Returns shape (2, 2) + modes.m.shape: entry [:, :, i] is mode i's block.
+    """
     if not 0 <= k <= K_MAX:
         raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    sigma = SIGMA[p.case]
-    x, y = t * p.m, t * p.n
-    w = sigma * y * y
-    if (abs(x) + y if sigma > 0 else math.hypot(x, y)) < 1.0:
-        # (R, e)/(i+k)! of z^i = R + eps*y*e, summed into (r, s/t)
-        cr, ce = 1.0 / math.factorial(k), 0.0
-        r, q = cr, ce
-        for j in range(k + 1, k + 40):
-            cr, ce = (cr * x + w * ce) / j, (ce * x + cr) / j
-            r += cr
-            q += ce
-            if abs(cr) + abs(ce) <= SERIES_RTOL * (abs(r) + abs(q)):
-                break
-        s = t * q
-    elif sigma > 0 and 3.0 * y > abs(x):
-        fp, fm = scalar_phi(k, x + y), scalar_phi(k, x - y)
-        r, s = 0.5 * (fp + fm), 0.5 * (fp - fm) / p.n
-    else:
-        if sigma > 0:  # e^x*cosh(y), e^x*sinh(y)/y without overflow in cosh
-            ep, d = math.exp(x + y), math.expm1(-2.0 * y)
-            r, q = ep * (1.0 + 0.5 * d), -0.5 * ep * d / y
-        elif sigma < 0:
-            ex = math.exp(x)
-            r, q = ex * math.cos(y), ex * math.sin(y) / y
-        else:
-            r = q = math.exp(x)
-        det = x * x - w
-        inv_fact = 1.0
-        for j in range(1, k + 1):
-            rho = r - inv_fact
-            r, q = (x * rho - w * q) / det, (x * q - rho) / det
-            inv_fact /= j
-        s = t * q
-    a = p.m * p.m - sigma * p.n * p.n
-    return Block2x2(r - p.m * s, s, -a * s, r + p.m * s)
+    m, n, sigma = (np.asarray(f, dtype=float) for f in (modes.m, modes.n, modes.case))
+    r, s = (v.reshape(m.shape) for v in _phi_rs(k, t, m.ravel(), n.ravel(), sigma.ravel()))
+    a = m * m - sigma * n * n
+    return np.array([[r - m * s, s], [-a * s, r + m * s]])

@@ -20,6 +20,7 @@ from .errors import (
     OracleScaleError,
     UnknownPresetError,
 )
+from .modefuncs import CASE_NAMES
 
 ASSEMBLE_MAX_N = 64
 EXPM_MAX_DIM = 128
@@ -357,7 +358,7 @@ def block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3), k
 
     Returns (rows, cases_seen): rows of (kind, regime, n, t, k, max relative
     error over three fixed probe vectors) and the set of discriminant case
-    tags encountered.
+    names encountered.
     """
     from .discretize import build_operator
     from .eigen import factorize
@@ -371,7 +372,7 @@ def block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3), k
             fact = factorize(op)
             for label, spec in _oracle_regimes(kind, fact):
                 prop = build_propagator(op, spec, fact=fact)
-                cases_seen.update(p.case for p in prop.modes)
+                cases_seen.update(CASE_NAMES[c] for c in np.unique(prop.modes.case))
                 a_mat = assemble_dense_A(op, spec)
                 rng = np.random.default_rng(seed)
                 probes = rng.standard_normal((3, 2 * n))

@@ -8,10 +8,11 @@ to spectral coefficients (Q'u, Q'w), the permutation P' interleaves them,
 each mode's 2x2 block multiplies its pair, and one product with Q' takes
 both halves back.
 
-P is never formed or applied: the block tables are laid out in P's
-interleaved order, so strided slices of them act on the stacked halves
-directly. ``permutation_positions`` documents P as the position array of
-its nonzero column per row ([1, 3, 5, 2, 4, 6] for n = 3).
+P is never formed or applied: a block table is the (2, 2, n) array of all
+the mode blocks, and its columns tab[:, 0] and tab[:, 1] multiply the two
+spectral halves directly. ``permutation_positions`` is the only record of
+P, as the position array of its nonzero column per row ([1, 3, 5, 2, 4, 6]
+for n = 3).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .discretize import GridOperator, ProblemSpec, StateVector
 from .eigen import SpectralFactorization, factorize
 from .errors import DimensionMismatchError, PhiOrderError
-from .modefuncs import K_MAX, classify_mode, phi_block
+from .modefuncs import K_MAX, ModeParams, classify_mode, phi_block
 
 
 def permutation_positions(n: int) -> np.ndarray:
@@ -42,9 +43,9 @@ class BlockPropagator:
     attributes and are not thread-safe.
     """
 
-    def __init__(self, fact: SpectralFactorization, modes, params):
+    def __init__(self, fact: SpectralFactorization, modes: ModeParams, params):
         self.fact = fact
-        self.modes = tuple(modes)
+        self.modes = modes
         self.params = params
         self.n = fact.n
         self._q_t = np.ascontiguousarray(fact.q.T)
@@ -54,7 +55,7 @@ class BlockPropagator:
         self.applies = 0
 
     def table(self, k: int, tau: float, c: float = 1.0) -> np.ndarray:
-        """2-by-2n table of phi_k(c*tau*G_i), mode i in columns 2i, 2i+1.
+        """(2, 2, n) table of phi_k(c*tau*G_i), mode i's block in [:, :, i].
 
         Tables are keyed by (k, c*tau), so equal effective times, such as
         (tau, 1/2) and (tau/2, 1), share one table.
@@ -67,19 +68,9 @@ class BlockPropagator:
             with self._lock:
                 tab = self._tables.get(key)
                 if tab is None:
-                    tab = self._build_table(*key)
+                    tab = phi_block(*key, self.modes)
                     self._tables[key] = tab
                     self.tables_built += 1
-        return tab
-
-    def _build_table(self, k: int, t_eff: float) -> np.ndarray:
-        tab = np.empty((2, 2 * self.n))
-        for i, p in enumerate(self.modes):
-            blk = phi_block(k, t_eff, p)
-            tab[0, 2 * i] = blk.a11
-            tab[0, 2 * i + 1] = blk.a12
-            tab[1, 2 * i] = blk.a21
-            tab[1, 2 * i + 1] = blk.a22
         return tab
 
     def apply_stacked(self, k: int, tau: float, y: np.ndarray, c: float = 1.0) -> np.ndarray:
@@ -90,15 +81,15 @@ class BlockPropagator:
         and one product with Q' takes both rows back. P' interleaves the two
         spectral halves into mode pairs and P separates them again, so on
         the stacked halves the middle three stages collapse to two
-        coefficient multiplies by strided columns of the 2-by-2n block
-        table. Q is read once in and once out.
+        coefficient multiplies by the columns tab[:, 0] and tab[:, 1] of
+        the (2, 2, n) block table. Q is read once in and once out.
         """
         n = self.n
         if y.shape != (2 * n,):
             raise DimensionMismatchError(f"expected stacked length {2 * n}, got {y.shape}")
         tab = self.table(k, tau, c)
         spec = y.reshape(2, n) @ self.fact.q
-        out = (tab[:, 0::2] * spec[0] + tab[:, 1::2] * spec[1]) @ self._q_t
+        out = (tab[:, 0] * spec[0] + tab[:, 1] * spec[1]) @ self._q_t
         self.applies += 1
         return out.reshape(2 * n)
 
@@ -113,10 +104,7 @@ def build_propagator(
         raise DimensionMismatchError(
             f"factorization of size {fact.n} does not match operator size {op.n}"
         )
-    modes = tuple(
-        classify_mode(float(lam), spec.alpha, spec.beta, spec.gamma, spec.delta)
-        for lam in fact.lam
-    )
+    modes = classify_mode(fact.lam, spec.alpha, spec.beta, spec.gamma, spec.delta)
     params = (spec.alpha, spec.beta, spec.gamma, spec.delta)
     return BlockPropagator(fact, modes, params)
 

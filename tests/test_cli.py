@@ -132,6 +132,23 @@ class TestConverge:
                    "--Mref", "512", "--out", str(tmp_path / "x.csv")])
         assert rc != 0
 
+    @pytest.mark.parametrize("m_ref", ["32", "16"])
+    def test_reference_must_be_finer_than_every_m(self, tmp_path, capsys, monkeypatch, m_ref):
+        import wavebeam.cli as cli
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve ran before the M_ref check")
+
+        monkeypatch.setattr(cli, "solve", no_solve)
+        out = tmp_path / "x.csv"
+        rc = main(["converge", "--preset", "wave1", "--N", "10", "--T", "0.25",
+                   "--scheme", "EI-E1", "--M", "8", "--M", "32", "--M", "16",
+                   "--Mref", m_ref, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"M_ref = {m_ref}" in err and "largest M = 32" in err
+
 
 class TestModes:
     def test_wave1_all_complex(self, tmp_path):
@@ -178,13 +195,12 @@ class TestOracleCheck:
         # sensitivity check: a flipped sign in the complex-pair block must
         # push the suite past its tolerance
         import wavebeam.propagator as propagator
-        from wavebeam.modefuncs import COMPLEX_PAIR, Block2x2, phi_block
+        from wavebeam.modefuncs import COMPLEX_PAIR, phi_block
 
-        def mutated(k, t, p):
-            blk = phi_block(k, t, p)
-            if p.case == COMPLEX_PAIR:
-                return Block2x2(blk.a11, blk.a12, -blk.a21, blk.a22)
-            return blk
+        def mutated(k, t, modes):
+            tab = phi_block(k, t, modes)
+            tab[1, 0] = np.where(modes.case == COMPLEX_PAIR, -tab[1, 0], tab[1, 0])
+            return tab
 
         monkeypatch.setattr(propagator, "phi_block", mutated)
         assert main(["oracle-check", "--N", "4"]) != 0
@@ -219,6 +235,7 @@ class TestConfigPrecedence:
 
 
 SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--scheme", "EI-E1"]
+CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
 
 
 @pytest.mark.parametrize(
@@ -242,10 +259,16 @@ SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--sche
                                  "scheme": "EI-E1"}),
         (["solve", "--N", "10", "--scheme", "EI-E1", "--M", "4"], {"preset": ["wave1"]}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "preset": "", "scheme": "EI-E1"}),
+        (CONVERGE, {**LINEAR_CONFIG, "schemes": 5}),
+        (CONVERGE, {**LINEAR_CONFIG, "schemes": [{"name": 5}]}),
+        (CONVERGE, {**LINEAR_CONFIG, "schemes": [{"name": None}]}),
+        (CONVERGE, {**LINEAR_CONFIG, "schemes": "EI-K4"}),
+        (CONVERGE, {**LINEAR_CONFIG, "schemes": {"name": "EI-K4"}}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
-         "preset-list", "preset-empty"],
+         "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
+         "scheme-name-null", "schemes-string", "schemes-dict"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:

@@ -13,7 +13,7 @@ from wavebeam.discretize import (
     grid_points,
 )
 from wavebeam.eigen import factorize
-from wavebeam.modefuncs import phi_block
+from wavebeam.modefuncs import classify_mode, phi_block
 from wavebeam.propagator import apply_phi, build_propagator
 
 BUILDERS = {"wave": build_wave_operator, "beam": build_beam_operator}
@@ -101,6 +101,6 @@ def test_single_mode_evolves_by_its_block(j):
     prop = build_propagator(build_beam_operator(n, 1.0), spec)
     u0 = np.sin(j * math.pi * grid_points(n, 1.0))
     out = apply_phi(prop, 0, t, StateVector(u0, np.zeros(n)))
-    blk = phi_block(0, t, prop.modes[j - 1])
-    assert np.max(np.abs(out.u - blk.a11 * u0)) <= 1e-12
-    assert np.max(np.abs(out.w - blk.a21 * u0)) <= 1e-12 * max(1.0, abs(blk.a21))
+    blk = phi_block(0, t, classify_mode(prop.modes.lam[j - 1], *prop.params))
+    assert np.max(np.abs(out.u - blk[0, 0] * u0)) <= 1e-12
+    assert np.max(np.abs(out.w - blk[1, 0] * u0)) <= 1e-12 * max(1.0, abs(blk[1, 0]))

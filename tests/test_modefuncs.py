@@ -33,6 +33,12 @@ def modes():
     return [classify_mode(*p) for p in CASE_PARAMS]
 
 
+def stacked(mode_list):
+    """One ModeParams holding every mode of mode_list, in order."""
+    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(p, f)) for p in mode_list])
+                        for f in ("lam", "m", "n", "case")))
+
+
 class TestClassify:
     def test_real_distinct(self):
         p = classify_mode(1.0, 3.0, 4.0, 0.0, 0.0)
@@ -80,11 +86,11 @@ class TestScalarPhi:
         assert scalar_phi(2, -1.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_series_recurrence_continuity(self):
-        # values just inside and outside the series radius agree smoothly
+        # values just inside and outside the series radius |z| = 1 agree smoothly
         for k in (1, 2, 3, 4):
-            lo, hi = scalar_phi(k, 0.4999999), scalar_phi(k, 0.5000001)
+            lo, hi = scalar_phi(k, 0.9999999), scalar_phi(k, 1.0000001)
             assert abs(hi - lo) < 1e-6
-            lo, hi = scalar_phi(k, -0.5000001), scalar_phi(k, -0.4999999)
+            lo, hi = scalar_phi(k, -1.0000001), scalar_phi(k, -0.9999999)
             assert abs(hi - lo) < 1e-6
 
     def test_order_cap(self):
@@ -95,17 +101,17 @@ class TestScalarPhi:
 class TestExpBlock:
     def test_identity_at_zero(self):
         for p in modes():
-            assert np.array_equal(phi_block(0, 0.0, p).as_array(), np.eye(2))
+            assert np.array_equal(phi_block(0, 0.0, p), np.eye(2))
 
     def test_rotation_quarter_period(self):
         # m = 0, n = 2: exp((pi/4) G) rotates by pi/2
         p = classify_mode(4.0, 1.0, 0.0, 0.0, 0.0)
-        got = phi_block(0, math.pi / 4, p).as_array()
+        got = phi_block(0, math.pi / 4, p)
         assert np.allclose(got, [[0.0, 0.5], [-2.0, 0.0]], atol=1e-15)
 
     def test_double_root_hand_value(self):
         p = classify_mode(1.0, 1.0, 2.0, 0.0, 0.0)
-        got = phi_block(0, 1.0, p).as_array()
+        got = phi_block(0, 1.0, p)
         assert np.allclose(got, math.exp(-1.0) * np.array([[2.0, 1.0], [-1.0, 0.0]]), rtol=1e-15)
 
     def test_negative_t_rejected(self):
@@ -116,18 +122,18 @@ class TestExpBlock:
 class TestPhiBlock:
     def test_phi1_identity_at_zero(self):
         for p in modes():
-            assert np.array_equal(phi_block(1, 0.0, p).as_array(), np.eye(2))
+            assert np.array_equal(phi_block(1, 0.0, p), np.eye(2))
 
     def test_rotation_half_period(self):
         # m = 0, n = 1, t = pi: exp(pi G) = -I so phi_1 = -2 (pi G)^{-1}
         p = classify_mode(1.0, 1.0, 0.0, 0.0, 0.0)
-        got = phi_block(1, math.pi, p).as_array()
+        got = phi_block(1, math.pi, p)
         v = 2.0 / math.pi
         assert np.allclose(got, [[0.0, v], [-v, 0.0]], atol=1e-15)
 
     def test_tiny_t_is_half_identity(self):
         for p in modes():
-            got = phi_block(2, 1e-300, p).as_array()
+            got = phi_block(2, 1e-300, p)
             assert np.allclose(got, 0.5 * np.eye(2), rtol=1e-15, atol=1e-250)
 
     def test_order_range(self):
@@ -143,8 +149,8 @@ class TestBlockProperties:
         for p in modes():
             for _ in range(20):
                 t1, t2 = rng.uniform(0.0, 1.5, size=2)
-                lhs = phi_block(0, t1 + t2, p).as_array()
-                rhs = phi_block(0, t1, p).as_array() @ phi_block(0, t2, p).as_array()
+                lhs = phi_block(0, t1 + t2, p)
+                rhs = phi_block(0, t1, p) @ phi_block(0, t2, p)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(np.max(np.abs(lhs)), 1.0)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -153,8 +159,8 @@ class TestBlockProperties:
         for p in modes():
             for t in (0.05, 0.7, 2.0):
                 tg = t * mode_matrix(p)
-                lhs = tg @ phi_block(k + 1, t, p).as_array()
-                rhs = phi_block(k, t, p).as_array() - np.eye(2) / math.factorial(k)
+                lhs = tg @ phi_block(k + 1, t, p)
+                rhs = phi_block(k, t, p) - np.eye(2) / math.factorial(k)
                 scale = max(np.max(np.abs(rhs)), 1.0)
                 assert np.max(np.abs(lhs - rhs)) <= 1e-10 * scale
 
@@ -170,27 +176,25 @@ class TestBlockProperties:
             assert below.case == COMPLEX_PAIR
             assert above.case == REAL_DISTINCT
             assert middle.case == DOUBLE_ROOT
-            mid_e = phi_block(0, t, middle).as_array()
+            mid_e = phi_block(0, t, middle)
             for p in (below, above):
-                diff = np.max(np.abs(phi_block(0, t, p).as_array() - mid_e))
+                diff = np.max(np.abs(phi_block(0, t, p) - mid_e))
                 assert diff <= 1e-8 * np.max(np.abs(mid_e))
                 for k in (1, 2, 3):
-                    mid_p = phi_block(k, t, middle).as_array()
-                    diff = np.max(np.abs(phi_block(k, t, p).as_array() - mid_p))
+                    mid_p = phi_block(k, t, middle)
+                    diff = np.max(np.abs(phi_block(k, t, p) - mid_p))
                     assert diff <= 1e-8 * np.max(np.abs(mid_p))
 
-    def test_complex_trig_identity(self):
-        # i0^2 + r0^2 = e^{2tm}
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            lam = rng.uniform(0.5, 50.0)
-            p = classify_mode(lam, 1.0, 0.0, rng.uniform(0.0, 0.3), rng.uniform(0.0, 2.0))
-            if p.case != COMPLEX_PAIR:
-                continue
-            t = rng.uniform(0.01, 3.0)
-            i0 = math.exp(t * p.m) * math.sin(t * p.n)
-            r0 = math.exp(t * p.m) * math.cos(t * p.n)
-            assert i0**2 + r0**2 == pytest.approx(math.exp(2 * t * p.m), rel=1e-13)
+    def test_det_is_exp_of_trace(self):
+        # Liouville: det(exp(tG)) = e^{t*trace(G)} = e^{2tm}, on one array
+        # holding modes of all three cases, in all three regimes over the t
+        p = stacked(modes() + [classify_mode(np.array([0.3, 2.0, 2.2, 40.0]), 2.0, 2.0, 0.0, 0.0)])
+        assert set(p.case) == {REAL_DISTINCT, DOUBLE_ROOT, COMPLEX_PAIR}
+        for t in (0.01, 0.3, 1.0, 2.5):
+            e = phi_block(0, t, p)
+            det = e[0, 0] * e[1, 1] - e[0, 1] * e[1, 0]
+            scale = np.abs(e[0, 0] * e[1, 1]) + np.abs(e[0, 1] * e[1, 0])
+            assert np.all(np.abs(det - np.exp(2.0 * t * p.m)) <= 1e-14 * scale), t
 
 
 class TestOracleEquivalence:
@@ -204,7 +208,7 @@ class TestOracleEquivalence:
                 continue
             for k in range(5):
                 want = dense_phi(k, t * g)
-                got = phi_block(k, t, p).as_array()
+                got = phi_block(k, t, p)
                 err = np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300)
                 assert err <= 1e-11, f"case={p.case} t={t} k={k}: {err:.2e}"
 
@@ -219,5 +223,5 @@ def test_tiny_t_on_stiff_complex_mode(k, t):
     p = classify_mode(lam, 15.0, 3e-6, 3e-4, 10.0)
     assert p.case == COMPLEX_PAIR and math.hypot(p.m, p.n) > 5e6
     want = dense_phi(k, t * mode_matrix(p))
-    got = phi_block(k, t, p).as_array()
+    got = phi_block(k, t, p)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -4,6 +4,8 @@ The reference shares no algorithm with ``phi_block``: mpmath exponentiates
 the augmented (k+1)-block matrix [[tG, I, 0..], [0, 0, I, ..], .., [0..]],
 whose top-right 2x2 block is phi_k(tG). G comes from ``mode_matrix``, so the
 sweep measures the evaluation of the classified block, not the DISC_TOL snap.
+Each drawn mode is evaluated inside one array with fixed companion modes of
+every case and scale, so a regime mask that leaks between modes shows up.
 """
 
 import math
@@ -11,13 +13,26 @@ import math
 import numpy as np
 import pytest
 
-from wavebeam.modefuncs import REAL_DISTINCT, classify_mode, mode_matrix, phi_block
+from wavebeam.modefuncs import REAL_DISTINCT, ModeParams, classify_mode, mode_matrix, phi_block
 
 mp = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 RTOL = 1e-12
+
+# complex pairs with |z| 1e-2..1e4, and complex, double and real modes of
+# G = [[0, 1], [-2 lam, -2 lam]] (double root at lam = 2) from 0.5 to 1e6
+COMPANIONS = [
+    classify_mode(10.0 ** np.arange(-4.0, 9.0), 1.0, 0.0, 0.0, 0.0),
+    classify_mode(np.array([0.5, 1.0, 2.0, 2.2, 3.0, 10.0, 1e3, 1e6]), 2.0, 2.0, 0.0, 0.0),
+]
+
+
+def with_companions(p):
+    """p as the last mode of one array after every companion mode."""
+    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(q, f)) for q in COMPANIONS + [p]])
+                        for f in ("lam", "m", "n", "case")))
 
 
 def reference(k: int, t: float, g: np.ndarray) -> np.ndarray:
@@ -58,14 +73,15 @@ def mode_and_time(draw):
     p = classify_mode(lam, alpha, split * b / lam, (1.0 - split) * b, delta)
 
     rho = abs(p.m) + p.n if p.case == REAL_DISTINCT else math.hypot(p.m, p.n)
-    when = draw(st.sampled_from(["wide", "wide", "modulus_one", "scalar_half"]))
+    when = draw(st.sampled_from(["wide", "wide", "modulus_one", "scalar_half", "scalar_one"]))
     if when == "wide":
         t = draw(log_uniform(1e-3, 30.0)) / rho
     elif when == "modulus_one":  # the series switch
         t = (1.0 + draw(st.floats(-0.02, 0.02))) / rho
-    else:  # scalar_phi's series switch at the smaller real root
+    else:  # smaller real root at modulus 1/2, or at 1, scalar_phi's series switch
         small = abs(p.m) - p.n if p.case == REAL_DISTINCT else rho
-        t = min(0.5 * (1.0 + draw(st.floats(-0.02, 0.02))) / small, 30.0 / rho)
+        at = 0.5 if when == "scalar_half" else 1.0
+        t = min(at * (1.0 + draw(st.floats(-0.02, 0.02))) / small, 30.0 / rho)
     return p, t, draw(st.integers(0, 4))
 
 
@@ -74,6 +90,6 @@ def mode_and_time(draw):
 def test_phi_block_matches_mp_expm(case):
     p, t, k = case
     want = reference(k, t, mode_matrix(p))
-    got = phi_block(k, t, p).as_array()
+    got = phi_block(k, t, with_companions(p))[:, :, -1]
     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert err <= RTOL, f"{p.case} m={p.m!r} n={p.n!r} t={t!r} k={k}: {err:.2e}"

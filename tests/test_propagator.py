@@ -14,7 +14,7 @@ from wavebeam.discretize import (
 )
 from wavebeam.eigen import factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
-from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, phi_block
+from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, classify_mode, phi_block
 from wavebeam.oracles import assemble_dense_A, dense_phi, load_preset
 from wavebeam.propagator import (
     apply_phi,
@@ -80,8 +80,8 @@ class TestApplyPhi:
         preset = load_preset("wave1")
         op = build_wave_operator(200, preset.spec.ell)
         prop = build_propagator(op, preset.spec)
-        assert len(prop.modes) == 200
-        assert all(p.case == COMPLEX_PAIR for p in prop.modes)
+        assert prop.modes.case.shape == (200,)
+        assert np.all(prop.modes.case == COMPLEX_PAIR)
 
     def test_k_out_of_range(self):
         op = build_wave_operator(4, 1.0)
@@ -139,10 +139,10 @@ class TestApplyPhi:
         spec = ProblemSpec(alpha=1.0 if kind == "wave" else 1e-4, beta=1e-3, gamma=1e-2)
         prop = build_propagator(op, spec)
         t = 0.7
-        for p in prop.modes:
-            # spectral radius of exp(tG) from the root parameters
-            radius = math.exp(t * (p.m + p.n)) if p.case == REAL_DISTINCT else math.exp(t * p.m)
-            assert radius < 1.0
+        p = prop.modes
+        # spectral radius of exp(tG) from the root parameters
+        radius = np.exp(t * (p.m + np.where(p.case == REAL_DISTINCT, p.n, 0.0)))
+        assert np.all(radius < 1.0)
 
 
 class TestUndampedReference:
@@ -192,11 +192,34 @@ class TestStepFunctionCache:
         prop.table(2, 0.125, 1.0)
         assert prop.tables_built == 2
 
-    def test_block_layout_is_2_by_2n(self):
+    def test_block_layout_is_2_by_2_by_n(self):
         op = build_wave_operator(5, 1.0)
         spec = ProblemSpec(alpha=1.0, beta=0.02, gamma=0.3)
         prop = build_propagator(op, spec)
         tab = prop.table(0, 0.2)
-        assert tab.shape == (2, 10)
-        blk = phi_block(0, 0.2, prop.modes[3]).as_array()
-        assert np.array_equal(tab[:, 6:8], blk)
+        assert tab.shape == (2, 2, 5)
+        blk = phi_block(0, 0.2, classify_mode(prop.modes.lam[3], *prop.params))
+        assert np.array_equal(tab[:, :, 3], blk)
+
+
+@pytest.mark.parametrize(
+    "kind, n, spec",
+    [
+        ("beam", 600, load_preset("beam1").spec),
+        ("wave", 200, ProblemSpec(alpha=1.0, beta=0.05, gamma=40.0, delta=1.0)),
+    ],
+    ids=["beam600-beam1", "wave200-heavy-damping"],
+)
+def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
+    # one array evaluation over every mode against one phi_block call per mode
+    op = (build_wave_operator if kind == "wave" else build_beam_operator)(n, 1.0)
+    prop = build_propagator(op, spec)
+    singles = [classify_mode(lam, *prop.params) for lam in prop.modes.lam]
+    for t in (1e-4, 0.01, 0.3):
+        for k in range(5):
+            tab = prop.table(k, t)
+            for i, p in enumerate(singles):
+                blk = phi_block(k, t, p)
+                # most beam modes underflow to all-zero blocks from t = 0.01 on
+                err = np.max(np.abs(tab[:, :, i] - blk)) / max(np.max(np.abs(blk)), 1e-300)
+                assert err <= 1e-15, f"k={k} t={t} mode {i}: {err:.2e}"
