@@ -27,10 +27,7 @@ from .integrators import (
     SolveStats,
     build_tableau,
     merged_damping_solve,
-    rk4_baseline_solve,
-    rk4_step,
     solve,
-    step,
 )
 from .modefuncs import (
     CASE_NAMES,
@@ -40,26 +37,22 @@ from .modefuncs import (
     REAL_DISTINCT,
     ModeParams,
     classify_mode,
-    mode_matrix,
     phi_block,
     scalar_phi,
 )
 from .oracles import (
-    ExperimentPreset,
+    apply_undamped_reference,
     assemble_dense_A,
     block_oracle_suite,
     dense_expm,
     dense_phi,
     discrete_l2_error,
-    load_preset,
+    mode_matrix,
     observed_order,
+    rk4_baseline_solve,
+    rk4_step,
 )
-from .propagator import (
-    BlockPropagator,
-    apply_phi,
-    apply_undamped_reference,
-    build_propagator,
-    permutation_positions,
-)
+from .presets import ExperimentPreset, load_preset
+from .propagator import BlockPropagator, apply_phi, build_propagator, permutation_positions
 
 __version__ = "0.1.0"

@@ -20,7 +20,8 @@ from .eigen import factorize
 from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
 from .modefuncs import CASE_NAMES, classify_mode
-from .oracles import block_oracle_suite, discrete_l2_error, load_preset, observed_order
+from .oracles import block_oracle_suite, discrete_l2_error, observed_order
+from .presets import load_preset
 from .propagator import build_propagator
 
 ORACLE_TOL = 1e-10
@@ -146,28 +147,34 @@ def _read_config_file(path: str) -> dict:
     return data
 
 
+_SCALAR_FIELDS = {
+    "kind": str,
+    "alpha": float,
+    "beta": float,
+    "gamma": float,
+    "delta": float,
+    "g": str,
+    "h": str,
+    "ell": float,
+    "T": float,
+    "N": int,
+    "scheme": str,
+    "c2": float,
+    "M_ref": int,
+    "ref_scheme": str,
+    "ref_c2": float,
+    "out": str,
+    "snapshots": int,
+}
+_CONFIG_KEYS = frozenset(_SCALAR_FIELDS) | {"preset", "p", "q", "M", "schemes"}
+
+
 def _apply_config_fields(cfg: RunConfig, data: dict) -> None:
-    scalar_fields = {
-        "kind": str,
-        "alpha": float,
-        "beta": float,
-        "gamma": float,
-        "delta": float,
-        "g": str,
-        "h": str,
-        "ell": float,
-        "T": float,
-        "N": int,
-        "scheme": str,
-        "c2": float,
-        "M_ref": int,
-        "ref_scheme": str,
-        "ref_c2": float,
-        "out": str,
-        "snapshots": int,
-    }
+    unknown = sorted(key for key in data if key not in _CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
     renames = {"N": "n", "M_ref": "m_ref"}
-    for key, cast in scalar_fields.items():
+    for key, cast in _SCALAR_FIELDS.items():
         if key in data and data[key] is not None:
             value = str(data[key]) if cast is str else _number(key, data[key], cast)
             setattr(cfg, renames.get(key, key), value)

@@ -1,4 +1,4 @@
-"""Finite-difference spatial operators, grids, initial data, and nonlinearities.
+"""Finite-difference spatial operators, grids, initial data, nonlinearities and forcing.
 
 The 1D domain (0, ell) is discretized at the interior nodes x_i = i*dx,
 i = 1..n, with dx = ell/(n+1). Homogeneous Dirichlet values at the
@@ -262,6 +262,19 @@ def nonlinearity(name: str):
         return NONLINEARITIES[name]
     except KeyError:
         raise UnknownNonlinearityError(f"unknown nonlinearity {name!r}") from None
+
+
+def forcing_from_spec(spec: ProblemSpec, n: int):
+    """The source term F(y) = (0, g(u) + h(w)) on the stacked (u, w) layout."""
+    g = nonlinearity(spec.g)
+    h = nonlinearity(spec.h)
+
+    def forcing(y: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(y)
+        out[n:] = g(y[:n]) + h(y[n:])
+        return out
+
+    return forcing
 
 
 def initial_state(spec: ProblemSpec, n: int) -> StateVector:

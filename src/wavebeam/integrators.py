@@ -1,4 +1,4 @@
-"""Exponential Runge-Kutta schemes over the block propagator, plus an RK4 baseline.
+"""Exponential Runge-Kutta schemes over the block propagator.
 
 A scheme step reads
 
@@ -18,15 +18,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .discretize import (
-    GridOperator,
-    ProblemSpec,
-    StateVector,
-    initial_state,
-    nonlinearity,
-)
+from .discretize import GridOperator, ProblemSpec, StateVector, forcing_from_spec, initial_state
 from .errors import ConfigError, InstabilityError, UnknownSchemeError
 from .propagator import BlockPropagator, build_propagator
 
@@ -45,7 +38,6 @@ class SchemeTableau:
     c: tuple
     a: tuple  # a[i] = row of PhiCombo entries for stages j < i
     b: tuple  # one PhiCombo per stage
-    c2: float | None = None
 
 
 @dataclass(frozen=True)
@@ -110,7 +102,6 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
             (0.0, c2),
             ((), (((1, c2),),)),
             (((1, 1.0), (2, -1.0 / c2)), ((2, 1.0 / c2),)),
-            c2=c2,
         )
     elif key == "EI-SW22":
         tab = SchemeTableau(
@@ -119,7 +110,6 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
             (0.0, c2),
             ((), (((1, c2),),)),
             (((1, 1.0 - 0.5 / c2),), ((1, 0.5 / c2),)),
-            c2=c2,
         )
     elif key == "EI-K4":
         tab = SchemeTableau(
@@ -170,18 +160,6 @@ def _group_row(combos) -> tuple:
     return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
-def _forcing_from_spec(spec: ProblemSpec, n: int):
-    g = nonlinearity(spec.g)
-    h = nonlinearity(spec.h)
-
-    def forcing(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        out[n:] = g(y[:n]) + h(y[n:])
-        return out
-
-    return forcing
-
-
 def _step_stacked(prop, a_grouped, b_grouped, c_nodes, forcing, tau, y):
     # Stages with equal nodes share terms: each distinct (k, c, source
     # combination) is applied once per step. Memoized arrays are only read.
@@ -198,7 +176,7 @@ def _step_stacked(prop, a_grouped, b_grouped, c_nodes, forcing, tau, y):
                     vec = w0 * f_stages[j0]
                     for j, w in rest:
                         vec = vec + w * f_stages[j]
-                applied[key] = prop.apply_stacked(k, tau, vec, c)
+                applied[key] = prop.apply_stacked(k, c * tau, vec)
             total = applied[key] if total is None else total + tau * applied[key]
         return total
 
@@ -217,29 +195,6 @@ def _step_stacked(prop, a_grouped, b_grouped, c_nodes, forcing, tau, y):
     return y_next
 
 
-def step(
-    prop: BlockPropagator,
-    tableau: SchemeTableau,
-    spec: ProblemSpec,
-    tau: float,
-    y_n: StateVector,
-) -> StateVector:
-    """One scheme step of size tau from y_n."""
-    if not tau > 0:
-        raise ValueError(f"step size must be positive, got {tau}")
-    forcing = _forcing_from_spec(spec, prop.n)
-    y = _step_stacked(
-        prop,
-        [_group_row(row) for row in tableau.a],
-        _group_row(tableau.b),
-        tableau.c,
-        forcing,
-        tau,
-        y_n.stacked(),
-    )
-    return StateVector.from_stacked(y)
-
-
 def solve(
     prop: BlockPropagator,
     tableau: SchemeTableau,
@@ -254,7 +209,7 @@ def solve(
     tau = spec.T / M
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
-        forcing = _forcing_from_spec(spec, prop.n)
+        forcing = forcing_from_spec(spec, prop.n)
     a_grouped = [_group_row(row) for row in tableau.a]
     b_grouped = _group_row(tableau.b)
 
@@ -274,7 +229,6 @@ def solve(
             snapshots.append(((i + 1) * tau, StateVector.from_stacked(y)))
     wall = time.perf_counter() - start
     if snapshots is not None:
-        snapshots = [(t, s) for t, s in snapshots if t < spec.T]
         snapshots.append((spec.T, StateVector.from_stacked(y)))
     stats = SolveStats(
         steps=M,
@@ -285,57 +239,12 @@ def solve(
     return SolveResult(StateVector.from_stacked(y), snapshots, stats)
 
 
-def rk4_step(f, tau: float, y: np.ndarray) -> np.ndarray:
-    """Classic fourth-order Runge-Kutta step."""
-    k1 = f(y)
-    k2 = f(y + 0.5 * tau * k1)
-    k3 = f(y + 0.5 * tau * k2)
-    k4 = f(y + tau * k3)
-    return y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def assemble_sparse_A(op: GridOperator, spec: ProblemSpec) -> sp.csr_matrix:
-    """Sparse 2n-by-2n system matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]]."""
-    eye = sp.identity(op.n, format="csr")
-    lower_left = -spec.alpha * op.stencil - spec.delta * eye
-    lower_right = -spec.beta * op.stencil - spec.gamma * eye
-    return sp.bmat([[None, eye], [lower_left, lower_right]], format="csr")
-
-
-def rk4_baseline_solve(op: GridOperator, spec: ProblemSpec, M: int) -> SolveResult:
-    """Fixed-step classical RK4 on y' = A y + F(y), the non-exponential comparator."""
-    if M < 1:
-        raise ConfigError(f"step count must be positive, got {M}")
-    a_mat = assemble_sparse_A(op, spec)
-    forcing = _forcing_from_spec(spec, op.n)
-
-    def f(y):
-        return a_mat @ y + forcing(y)
-
-    tau = spec.T / M
-    y = initial_state(spec, op.n).stacked()
-    start = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(M):
-            y = rk4_step(f, tau, y)
-            if not np.all(np.isfinite(y)):
-                raise InstabilityError(
-                    f"RK4 unstable at step {i + 1} of {M} (t = {(i + 1) * tau:.6g})",
-                    step=i + 1,
-                    time=(i + 1) * tau,
-                )
-    wall = time.perf_counter() - start
-    stats = SolveStats(steps=M, phi_evals=0, phi_applies=0, wall_time=wall)
-    return SolveResult(StateVector.from_stacked(y), None, stats)
-
-
 def merged_damping_solve(
     op: GridOperator,
     spec: ProblemSpec,
     tableau: SchemeTableau,
     M: int,
     fact=None,
-    snapshot_every: int | None = None,
 ) -> SolveResult:
     """Solve with the damping terms folded into the nonlinearity.
 
@@ -348,7 +257,7 @@ def merged_damping_solve(
 
     lin_spec = dataclasses.replace(spec, beta=0.0, gamma=0.0)
     prop = build_propagator(op, lin_spec, fact=fact)
-    nonlinear = _forcing_from_spec(spec, op.n)
+    nonlinear = forcing_from_spec(spec, op.n)
     s_mat = op.stencil
     beta, gamma = spec.beta, spec.gamma
     n = op.n
@@ -359,4 +268,4 @@ def merged_damping_solve(
         out[n:] = out[n:] - beta * (s_mat @ w) - gamma * w
         return out
 
-    return solve(prop, tableau, lin_spec, M, snapshot_every=snapshot_every, forcing=forcing)
+    return solve(prop, tableau, lin_spec, M, forcing=forcing)

@@ -86,19 +86,13 @@ def classify_mode(lam, alpha: float, beta: float, gamma: float, delta: float) ->
     return ModeParams(lam, -0.5 * b, n, case)
 
 
-def mode_matrix(p: ModeParams) -> np.ndarray:
-    """The blocks G, shape (2, 2) + m.shape, with a = m^2 - sigma*n^2."""
-    a = p.m * p.m - p.case * p.n * p.n
-    return np.array([[np.zeros_like(a), np.ones_like(a)], [-a, 2.0 * p.m]])
-
-
 def scalar_phi(k: int, z):
     """phi_0(z) = e^z; phi_k(z) = (phi_{k-1}(z) - phi_{k-1}(0))/z for k >= 1.
 
     The series below |z| = 1, the recurrence above, as for a double root.
     """
-    if not 0 <= k <= K_MAX + 2:
-        raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX + 2}")
+    if not 0 <= k <= K_MAX:
+        raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX}")
     z = np.asarray(z, dtype=float)
     zero = np.zeros(z.size)
     r, _ = _phi_rs(k, 1.0, z.ravel(), zero, zero)

@@ -1,26 +1,41 @@
-"""Brute-force dense oracles and the named experiment presets.
+"""Comparators for the production path: independent oracles, baselines and error metrics.
 
-The oracles deliberately use a different algorithm (scaling-and-squaring of
-a truncated Taylor series, plus the augmented-matrix embedding for phi_k)
-than the production spectral path, so agreement between the two is a
-meaningful check. They are capped at small sizes to keep tests fast.
+Each oracle uses a different algorithm than the production spectral path, so
+agreement between the two is a meaningful check. The dense ones
+(scaling-and-squaring of a truncated Taylor series, plus the augmented-matrix
+embedding for phi_k) are capped at small sizes to keep tests fast;
+``phi_action`` applies the same embedding to the sparse system matrix through
+``scipy.sparse.linalg.expm_multiply`` and needs no factorization, so it
+reaches sizes the dense ones cannot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import time
 
 import numpy as np
+import scipy.sparse as sp
 
-from .discretize import GridOperator, Profile, ProblemSpec, StateVector
+from .discretize import (
+    GridOperator,
+    ProblemSpec,
+    StateVector,
+    build_operator,
+    forcing_from_spec,
+    initial_state,
+)
+from .eigen import factorize
 from .errors import (
+    ConfigError,
     DimensionMismatchError,
+    InstabilityError,
     InsufficientPointsError,
     OracleScaleError,
-    UnknownPresetError,
 )
-from .modefuncs import CASE_NAMES
+from .integrators import SolveResult, SolveStats
+from .modefuncs import CASE_NAMES, ModeParams
+from .propagator import BlockPropagator, build_propagator
 
 ASSEMBLE_MAX_N = 64
 EXPM_MAX_DIM = 128
@@ -95,6 +110,107 @@ def dense_phi(k: int, mt: np.ndarray) -> np.ndarray:
     return _expm_taylor(big)[:d, k * d : (k + 1) * d]
 
 
+def rk4_step(f, tau: float, y: np.ndarray) -> np.ndarray:
+    """Classic fourth-order Runge-Kutta step."""
+    k1 = f(y)
+    k2 = f(y + 0.5 * tau * k1)
+    k3 = f(y + 0.5 * tau * k2)
+    k4 = f(y + tau * k3)
+    return y + (tau / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def assemble_sparse_A(op: GridOperator, spec: ProblemSpec) -> sp.csr_matrix:
+    """Sparse 2n-by-2n system matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]]."""
+    eye = sp.identity(op.n, format="csr")
+    lower_left = -spec.alpha * op.stencil - spec.delta * eye
+    lower_right = -spec.beta * op.stencil - spec.gamma * eye
+    return sp.bmat([[None, eye], [lower_left, lower_right]], format="csr")
+
+
+def rk4_baseline_solve(op: GridOperator, spec: ProblemSpec, M: int) -> SolveResult:
+    """Fixed-step classical RK4 on y' = A y + F(y), the non-exponential comparator."""
+    if M < 1:
+        raise ConfigError(f"step count must be positive, got {M}")
+    a_mat = assemble_sparse_A(op, spec)
+    forcing = forcing_from_spec(spec, op.n)
+
+    def f(y):
+        return a_mat @ y + forcing(y)
+
+    tau = spec.T / M
+    y = initial_state(spec, op.n).stacked()
+    start = time.perf_counter()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(M):
+            y = rk4_step(f, tau, y)
+            if not np.all(np.isfinite(y)):
+                raise InstabilityError(
+                    f"RK4 unstable at step {i + 1} of {M} (t = {(i + 1) * tau:.6g})",
+                    step=i + 1,
+                    time=(i + 1) * tau,
+                )
+    wall = time.perf_counter() - start
+    stats = SolveStats(steps=M, phi_evals=0, phi_applies=0, wall_time=wall)
+    return SolveResult(StateVector.from_stacked(y), None, stats)
+
+
+def phi_action(op: GridOperator, spec: ProblemSpec, k: int, t: float, v: np.ndarray) -> np.ndarray:
+    """phi_k(tA) @ v on the stacked (u, w) layout, from the sparse A alone.
+
+    For k >= 1, tA is embedded in the augmented matrix [[tA, v e_1'], [0, J_k]],
+    J_k the k-by-k upper shift, whose exponential's last column holds
+    phi_k(tA) v above e_k (Al-Mohy & Higham, "Computing the action of the
+    matrix exponential", SIAM J. Sci. Comput. 33, 2011). ``expm_multiply``
+    forms that column by truncated Taylor with scaling, so no eigenvector
+    and no dense matrix is made; its cost grows with t*||A||.
+    """
+    # imported here: scipy.sparse.linalg adds ~10 MB to every CLI process
+    from scipy.sparse.linalg import expm_multiply
+
+    if not 0 <= k <= PHI_MAX_K:
+        raise OracleScaleError(f"phi action supports k = 0..{PHI_MAX_K}, got {k}")
+    d = 2 * op.n
+    v = np.asarray(v, dtype=float)
+    if v.shape != (d,):
+        raise DimensionMismatchError(f"expected stacked length {d}, got {v.shape}")
+    ta = t * assemble_sparse_A(op, spec)
+    if k == 0:
+        return expm_multiply(ta, v)
+    coupling = sp.csr_matrix((v, (np.arange(d), np.zeros(d, dtype=np.int64))), shape=(d, k))
+    big = sp.bmat([[ta, coupling], [None, sp.eye(k, k=1)]], format="csr")
+    e_last = np.zeros(d + k)
+    e_last[-1] = 1.0
+    return expm_multiply(big, e_last)[:d]
+
+
+def apply_undamped_reference(prop: BlockPropagator, t: float, v: StateVector) -> StateVector:
+    """exp(tA) @ v through the cosine/sine form, valid only when beta = gamma = 0.
+
+    With Omega = sqrt(alpha*S + delta*I), the undamped propagator is
+    [[cos(t*Omega), Omega^{-1} sin(t*Omega)], [-Omega sin(t*Omega), cos(t*Omega)]],
+    evaluated mode-wise on the spectral coefficients. Cross-validates the
+    general block path.
+    """
+    alpha, beta, gamma, delta = prop.params
+    if beta != 0.0 or gamma != 0.0:
+        raise ValueError("undamped reference requires beta = gamma = 0")
+    if v.n != prop.n:
+        raise DimensionMismatchError(f"state of size {v.n} does not match propagator size {prop.n}")
+    omega = np.sqrt(alpha * prop.fact.lam + delta)
+    ct = np.cos(t * omega)
+    st = np.sin(t * omega)
+    transform = prop.fact.transform
+    cu = transform(v.u)
+    cw = transform(v.w)
+    return StateVector(transform(ct * cu + st / omega * cw), transform(-omega * st * cu + ct * cw))
+
+
+def mode_matrix(p: ModeParams) -> np.ndarray:
+    """The blocks G, shape (2, 2) + m.shape, with a = m^2 - sigma*n^2."""
+    a = p.m * p.m - p.case * p.n * p.n
+    return np.array([[np.zeros_like(a), np.ones_like(a)], [-a, 2.0 * p.m]])
+
+
 def discrete_l2_error(y, y_ref, dx: float) -> float:
     """sqrt(dx * sum |y_i - y_ref_i|^2) over the stacked state."""
     a = y.stacked() if isinstance(y, StateVector) else np.asarray(y, dtype=float)
@@ -117,222 +233,6 @@ def observed_order(errors) -> float:
     if np.any(e <= 0):
         raise InsufficientPointsError("errors must be positive for a log-log fit")
     return float(np.polyfit(np.log(1.0 / m), np.log(e), 1)[0])
-
-
-@dataclass(frozen=True)
-class ExperimentPreset:
-    """One named experiment: operator kind and size, problem, schemes, step counts."""
-
-    id: str
-    kind: str
-    n: int
-    spec: ProblemSpec
-    schemes: tuple  # ((scheme name, c2 or None), ...)
-    m_list: tuple
-    m_ref: int
-    ref_scheme: str
-
-    @property
-    def T(self) -> float:
-        return self.spec.T
-
-
-def _doubling(start: int, count: int) -> tuple:
-    return tuple(start * 2**k for k in range(count))
-
-
-_PI = math.pi
-
-PRESETS = {
-    "wave1": ExperimentPreset(
-        id="wave1",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=_PI**2,
-            beta=1e-2,
-            gamma=1e-2,
-            delta=0.0,
-            g="sin",
-            p=Profile("sine", (5.0, 2.0 * _PI)),
-            q=Profile("zero"),
-            ell=1.0,
-            T=6.0,
-        ),
-        schemes=(("EI-E1", None), ("EI-SW21", 0.75), ("EI-SW4", None), ("EI-K4", None)),
-        m_list=_doubling(5, 12),
-        m_ref=200000,
-        ref_scheme="EI-SW4",
-    ),
-    "wave2": ExperimentPreset(
-        id="wave2",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=100.0,
-            beta=1e-2,
-            gamma=1e-3,
-            delta=0.0,
-            g="signed_square",
-            p=Profile("hat", (1.0,)),
-            q=Profile("sine", (_PI**2, _PI)),
-            ell=1.0,
-            T=15.0,
-        ),
-        schemes=(
-            ("EI-E1", None),
-            ("EI-SW21", 0.2),
-            ("EI-SW22", 0.2),
-            ("EI-SW4", None),
-            ("EI-K4", None),
-        ),
-        m_list=_doubling(20, 13),
-        m_ref=200000,
-        ref_scheme="EI-K4",
-    ),
-    "wave3": ExperimentPreset(
-        id="wave3",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=15.0,
-            beta=1e-3,
-            gamma=1e-6,
-            delta=1.0,
-            g="cube",
-            p=Profile("sine", (10.0, 3.0 * _PI)),
-            q=Profile("cosine", (-10.0, 3.0 * _PI)),
-            ell=1.0,
-            T=30.0,
-        ),
-        schemes=(("EI-E1", None), ("EI-SW22", 0.9), ("EI-K4", None), ("EI-SW4", None)),
-        m_list=_doubling(20, 12),
-        m_ref=300000,
-        ref_scheme="EI-SW4",
-    ),
-    "wave4": ExperimentPreset(
-        id="wave4",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=5.0,
-            beta=1e-3,
-            gamma=1e-4,
-            delta=1.0,
-            g="abs",
-            p=Profile("step", (-1.0, 5.0)),
-            q=Profile("zero"),
-            ell=1.0,
-            T=3.0,
-        ),
-        schemes=(
-            ("EI-E1", None),
-            ("EI-SW21", 0.5),
-            ("EI-SW22", 0.5),
-            ("EI-SW4", None),
-            ("EI-K4", None),
-        ),
-        m_list=_doubling(20, 14),
-        m_ref=300000,
-        ref_scheme="EI-SW4",
-    ),
-    "wave5": ExperimentPreset(
-        id="wave5",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=50.0,
-            beta=1e-6,
-            gamma=1e-3,
-            delta=10.0,
-            g="neg_signed_fourth",
-            h="neg_signed_square",
-            p=Profile("sine", (20.0, 4.0 * _PI)),
-            q=Profile("cosine", (-25.0, 3.0 * _PI)),
-            ell=1.0,
-            T=1.0,
-        ),
-        schemes=(
-            ("EI-E1", None),
-            ("EI-SW21", 0.85),
-            ("EI-SW22", 0.85),
-            ("EI-SW4", None),
-            ("EI-K4", None),
-        ),
-        m_list=_doubling(160, 11),
-        m_ref=800000,
-        ref_scheme="EI-SW4",
-    ),
-    "beam1": ExperimentPreset(
-        id="beam1",
-        kind="beam",
-        n=300,
-        spec=ProblemSpec(
-            alpha=15.0,
-            beta=3e-6,
-            gamma=3e-4,
-            delta=10.0,
-            g="neg_five_cube",
-            p=Profile("gaussian", (5.0, 100.0, 2.0 / 3.0)),
-            q=Profile("zero"),
-            ell=1.0,
-            T=5.0,
-        ),
-        schemes=(("EI-E1", None), ("EI-SW22", 0.9), ("EI-SW4", None), ("EI-K4", None)),
-        m_list=_doubling(160, 11),
-        m_ref=600000,
-        ref_scheme="EI-K4",
-    ),
-    "merged-wave": ExperimentPreset(
-        id="merged-wave",
-        kind="wave",
-        n=200,
-        spec=ProblemSpec(
-            alpha=1.0,
-            beta=1e-2,
-            gamma=1e-1,
-            delta=1.0,
-            g="neg_five_cube",
-            p=Profile("sine", (5.0, 5.0 * _PI)),
-            q=Profile("cosine", (5.0, 10.0 * _PI)),
-            ell=1.0,
-            T=1.0,
-        ),
-        schemes=(("EI-SW21", 1.0 / 3.0),),
-        m_list=_doubling(10, 11),
-        m_ref=100000,
-        ref_scheme="EI-K4",
-    ),
-    "merged-beam": ExperimentPreset(
-        id="merged-beam",
-        kind="beam",
-        n=300,
-        spec=ProblemSpec(
-            alpha=15.0,
-            beta=3e-6,
-            gamma=3e-4,
-            delta=10.0,
-            g="neg_five_cube",
-            p=Profile("gaussian", (5.0, 100.0, 2.0 / 3.0)),
-            q=Profile("zero"),
-            ell=1.0,
-            T=1.0,
-        ),
-        schemes=(("EI-SW21", 0.2),),
-        m_list=_doubling(320, 8),
-        m_ref=100000,
-        ref_scheme="EI-SW4",
-    ),
-}
-
-
-def load_preset(preset_id: str) -> ExperimentPreset:
-    try:
-        return PRESETS[preset_id]
-    except KeyError:
-        raise UnknownPresetError(
-            f"unknown preset {preset_id!r}; choose from {', '.join(sorted(PRESETS))}"
-        ) from None
 
 
 def _oracle_regimes(kind: str, fact):
@@ -360,10 +260,6 @@ def block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3), k
     error over three fixed probe vectors) and the set of discriminant case
     names encountered.
     """
-    from .discretize import build_operator
-    from .eigen import factorize
-    from .propagator import build_propagator
-
     rows = []
     cases_seen = set()
     for kind in kinds:

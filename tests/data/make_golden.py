@@ -24,7 +24,7 @@ import numpy as np
 from wavebeam.cli import main
 from wavebeam.discretize import build_operator
 from wavebeam.integrators import build_tableau, merged_damping_solve, solve
-from wavebeam.oracles import PRESETS
+from wavebeam.presets import PRESETS
 from wavebeam.propagator import build_propagator
 
 N = 32

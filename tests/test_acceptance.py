@@ -24,7 +24,8 @@ from wavebeam.discretize import build_beam_operator, build_wave_operator, initia
 from wavebeam.eigen import factorize
 from wavebeam.errors import InstabilityError
 from wavebeam.integrators import build_tableau, combine_combos, merged_damping_solve, solve
-from wavebeam.oracles import block_oracle_suite, discrete_l2_error, load_preset
+from wavebeam.oracles import block_oracle_suite, discrete_l2_error
+from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator, permutation_positions
 
 ORACLE_TOL = 1e-10

@@ -264,11 +264,13 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (CONVERGE, {**LINEAR_CONFIG, "schemes": [{"name": None}]}),
         (CONVERGE, {**LINEAR_CONFIG, "schemes": "EI-K4"}),
         (CONVERGE, {**LINEAR_CONFIG, "schemes": {"name": "EI-K4"}}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "Mref": 5000}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "alhpa": 3.0}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
-         "scheme-name-null", "schemes-string", "schemes-dict"],
+         "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:

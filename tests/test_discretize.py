@@ -14,6 +14,7 @@ from wavebeam.discretize import (
     build_beam_operator,
     build_operator,
     build_wave_operator,
+    forcing_from_spec,
     sample_profile,
 )
 from wavebeam.eigen import factorize
@@ -23,7 +24,6 @@ from wavebeam.errors import (
     UnknownNonlinearityError,
     UnknownProfileError,
 )
-from wavebeam.integrators import _forcing_from_spec
 
 
 class TestWaveOperator:
@@ -162,7 +162,7 @@ class TestProfiles:
 def forcing(spec, u, w):
     """The production source term F(y) = (0, g(u) + h(w)) as a StateVector."""
     y = StateVector(u, w)
-    return StateVector.from_stacked(_forcing_from_spec(spec, y.n)(y.stacked()))
+    return StateVector.from_stacked(forcing_from_spec(spec, y.n)(y.stacked()))
 
 
 class TestNonlinearity:

@@ -12,11 +12,10 @@ from wavebeam.modefuncs import (
     REAL_DISTINCT,
     ModeParams,
     classify_mode,
-    mode_matrix,
     phi_block,
     scalar_phi,
 )
-from wavebeam.oracles import dense_phi
+from wavebeam.oracles import dense_phi, mode_matrix
 
 # one representative (lam, alpha, beta, gamma, delta) per discriminant case,
 # plus a heavily damped and a heavily oscillatory variant
@@ -94,6 +93,8 @@ class TestScalarPhi:
             assert abs(hi - lo) < 1e-6
 
     def test_order_cap(self):
+        with pytest.raises(PhiOrderError):
+            scalar_phi(5, 0.1)
         with pytest.raises(PhiOrderError):
             scalar_phi(9, 0.1)
 

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from wavebeam.modefuncs import REAL_DISTINCT, ModeParams, classify_mode, mode_matrix, phi_block
+from wavebeam.modefuncs import REAL_DISTINCT, ModeParams, classify_mode, phi_block
+from wavebeam.oracles import mode_matrix
 
 mp = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")

@@ -1,27 +1,29 @@
-"""Dense oracles, experiment presets, and error metrics."""
+"""Dense and matrix-free oracles, experiment presets, and error metrics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from wavebeam.discretize import ProblemSpec, build_wave_operator, sample_profile
+from wavebeam.discretize import ProblemSpec, build_operator, build_wave_operator, sample_profile
 from wavebeam.errors import (
     DimensionMismatchError,
     InsufficientPointsError,
     OracleScaleError,
     UnknownPresetError,
 )
-from wavebeam.modefuncs import classify_mode, mode_matrix
+from wavebeam.modefuncs import classify_mode
 from wavebeam.oracles import (
-    PRESETS,
     assemble_dense_A,
     dense_expm,
     dense_phi,
     discrete_l2_error,
-    load_preset,
+    mode_matrix,
     observed_order,
+    phi_action,
 )
+from wavebeam.presets import PRESETS, load_preset
+from wavebeam.propagator import build_propagator
 
 
 class TestAssemble:
@@ -106,6 +108,23 @@ class TestDensePhi:
     def test_k_cap(self):
         with pytest.raises(OracleScaleError):
             dense_phi(5, np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize(
+    "preset_id, n, t", [("wave1", 1000, 0.01), ("beam1", 600, 2.5e-5)], ids=["wave1000", "beam600"]
+)
+def test_phi_action_matches_block_path_above_dense_cap(preset_id, n, t):
+    # expm_multiply on the sparse A shares no code with the mode blocks or Q,
+    # and reaches sizes past the dense oracles' cap
+    preset = load_preset(preset_id)
+    op = build_operator(preset.kind, n, preset.spec.ell)
+    prop = build_propagator(op, preset.spec)
+    v = np.random.default_rng(n).standard_normal(2 * n)
+    for k in range(5):
+        want = phi_action(op, preset.spec, k, t, v)
+        got = prop.apply_stacked(k, t, v)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-12, f"k={k}: {err:.2e}"
 
 
 class TestPresets:

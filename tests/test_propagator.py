@@ -15,13 +15,9 @@ from wavebeam.discretize import (
 from wavebeam.eigen import factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
 from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, classify_mode, phi_block
-from wavebeam.oracles import assemble_dense_A, dense_phi, load_preset
-from wavebeam.propagator import (
-    apply_phi,
-    apply_undamped_reference,
-    build_propagator,
-    permutation_positions,
-)
+from wavebeam.oracles import apply_undamped_reference, assemble_dense_A, dense_phi
+from wavebeam.presets import load_preset
+from wavebeam.propagator import apply_phi, build_propagator, permutation_positions
 
 
 def random_state(n, seed=0):
@@ -181,15 +177,15 @@ class TestStepFunctionCache:
     def test_exact_key_reuse(self):
         op = build_wave_operator(6, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=0.02))
-        t1 = prop.table(1, 0.25, 0.5)
+        t1 = prop.table(1, 0.5 * 0.25)
         assert prop.tables_built == 1
-        t2 = prop.table(1, 0.25, 0.5)
+        t2 = prop.table(1, 0.5 * 0.25)
         assert t2 is t1
         assert prop.tables_built == 1
         # the same effective time c*tau shares the table
-        assert prop.table(1, 0.125, 1.0) is t1
+        assert prop.table(1, 1.0 * 0.125) is t1
         assert prop.tables_built == 1
-        prop.table(2, 0.125, 1.0)
+        prop.table(2, 1.0 * 0.125)
         assert prop.tables_built == 2
 
     def test_block_layout_is_2_by_2_by_n(self):
