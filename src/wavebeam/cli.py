@@ -2,8 +2,10 @@
 
 Configuration comes from three layers, each overriding the one before: a
 named preset (``--preset``, or the config file's ``"preset"`` field), the
-config file's own fields, and command-line flags. All numeric CSV output is
-written with 17 significant digits so values round-trip exactly.
+config file's own fields, and command-line flags. Each layer is read into a
+dict over the one vocabulary ``FIELDS``; the dicts are merged once into a
+``RunConfig``. All numeric CSV output is written with 17 significant digits
+so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .discretize import Profile, ProblemSpec, build_operator, grid_points
-from .eigen import factorize
 from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
-from .modefuncs import CASE_NAMES, classify_mode
+from .modefuncs import CASE_NAMES
 from .oracles import block_oracle_suite, discrete_l2_error, observed_order
 from .presets import load_preset
 from .propagator import build_propagator
@@ -31,9 +32,12 @@ def _fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+SPEC_KEYS = tuple(f.name for f in fields(ProblemSpec))
+
+
 @dataclass
 class RunConfig:
-    """Fully resolved run parameters for one CLI invocation."""
+    """Fully resolved run parameters for one CLI invocation, named as in a config file."""
 
     kind: str = "wave"
     alpha: float | None = None
@@ -46,13 +50,13 @@ class RunConfig:
     q: Profile = field(default_factory=lambda: Profile("zero"))
     ell: float = 1.0
     T: float | None = None
-    n: int | None = None
+    N: int | None = None
     n_from_flag: bool = False
     scheme: str | None = None
     c2: float | None = None
     schemes: list | None = None
-    m_list: list = field(default_factory=list)
-    m_ref: int | None = None
+    M: list = field(default_factory=list)
+    M_ref: int | None = None
     ref_scheme: str = "EI-SW4"
     ref_c2: float | None = None
     out: str | None = None
@@ -64,25 +68,14 @@ class RunConfig:
         if self.T is None:
             raise ConfigError("final time T is required")
         try:
-            return ProblemSpec(
-                alpha=self.alpha,
-                beta=self.beta,
-                gamma=self.gamma,
-                delta=self.delta,
-                g=self.g,
-                h=self.h,
-                p=self.p,
-                q=self.q,
-                ell=self.ell,
-                T=self.T,
-            )
+            return ProblemSpec(**{key: getattr(self, key) for key in SPEC_KEYS})
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
     def grid_size(self) -> int:
-        if self.n is None:
+        if self.N is None:
             raise ConfigError("grid size N is required")
-        return self.n
+        return self.N
 
     def scheme_list(self) -> list:
         if self.scheme is not None:
@@ -92,46 +85,87 @@ class RunConfig:
         raise ConfigError("no scheme given (use --scheme, a preset, or a config 'schemes' list)")
 
 
-def _number(key: str, value, cast):
-    """A config value as float or int; integer fields must hold whole numbers."""
-    try:
-        num = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"config field {key!r} must be a number, got {value!r}") from None
-    if cast is int:
-        if not num.is_integer():
-            raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
-        return int(num)
-    return num
+def _string(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
+    return value
 
 
-def _profile_from_json(value) -> Profile:
+def _number(key: str, value) -> float:
+    if not isinstance(value, bool):  # float(true) is 1.0, but a JSON boolean is no number
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+
+
+def _count(key: str, value) -> int:
+    num = _number(key, value)
+    if not num.is_integer():
+        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    return int(num)
+
+
+def _counts(key: str, value) -> list:
+    return [_count(key, m) for m in (value if isinstance(value, list) else [value])]
+
+
+def _profile(key: str, value) -> Profile:
     if isinstance(value, str):
         return Profile(value)
-    if isinstance(value, dict) and "name" in value:
+    if isinstance(value, dict) and isinstance(value.get("name"), str):
         params = value.get("params", ())
         if not isinstance(params, (list, tuple)):
             raise ConfigError(f"profile params must be a list, got {params!r}")
-        return Profile(value["name"], tuple(_number("params", v, float) for v in params))
-    raise ConfigError(f"profile entries need a 'name' (and optional 'params'), got {value!r}")
+        return Profile(value["name"], tuple(_number("params", v) for v in params))
+    raise ConfigError(f"profile entries need a string 'name' (optional 'params'), got {value!r}")
 
 
-def _schemes_from_json(value) -> list:
+def _schemes(key: str, value) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"config field 'schemes' must be a list, got {value!r}")
+        raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
     out = []
     for item in value:
         if isinstance(item, str):
             out.append((item, None))
         elif isinstance(item, dict) and isinstance(item.get("name"), str):
             c2 = item.get("c2")
-            out.append((item["name"], None if c2 is None else _number("c2", c2, float)))
+            out.append((item["name"], None if c2 is None else _number("c2", c2)))
         else:
             raise ConfigError(f"scheme entries need a string 'name' (optional 'c2'), got {item!r}")
     return out
 
 
+# The config vocabulary: every config-file key, which is also the argparse
+# dest of its flag, mapped to the parser of its JSON value. Every key but
+# "preset" names a RunConfig field.
+FIELDS = {
+    **dict.fromkeys(("preset", "kind", "g", "h", "scheme", "ref_scheme", "out"), _string),
+    **dict.fromkeys(("alpha", "beta", "gamma", "delta", "ell", "T", "c2", "ref_c2"), _number),
+    **dict.fromkeys(("N", "M_ref", "snapshots"), _count),
+    "M": _counts,
+    "p": _profile,
+    "q": _profile,
+    "schemes": _schemes,
+}
+
+
+def _preset_fields(preset_id: str) -> dict:
+    preset = load_preset(preset_id)
+    return {
+        **{key: getattr(preset.spec, key) for key in SPEC_KEYS},
+        "kind": preset.kind,
+        "N": preset.n,
+        "schemes": list(preset.schemes),
+        "M": list(preset.m_list),
+        "M_ref": preset.m_ref,
+        "ref_scheme": preset.ref_scheme,
+    }
+
+
 def _read_config_file(path: str) -> dict:
+    """The file's fields, parsed; a null value leaves its field unset."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -141,93 +175,23 @@ def _read_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
-    preset = data.get("preset")
-    if preset is not None and not isinstance(preset, str):
-        raise ConfigError(f"config field 'preset' must be a string, got {preset!r}")
-    return data
-
-
-_SCALAR_FIELDS = {
-    "kind": str,
-    "alpha": float,
-    "beta": float,
-    "gamma": float,
-    "delta": float,
-    "g": str,
-    "h": str,
-    "ell": float,
-    "T": float,
-    "N": int,
-    "scheme": str,
-    "c2": float,
-    "M_ref": int,
-    "ref_scheme": str,
-    "ref_c2": float,
-    "out": str,
-    "snapshots": int,
-}
-_CONFIG_KEYS = frozenset(_SCALAR_FIELDS) | {"preset", "p", "q", "M", "schemes"}
-
-
-def _apply_config_fields(cfg: RunConfig, data: dict) -> None:
-    unknown = sorted(key for key in data if key not in _CONFIG_KEYS)
+    unknown = sorted(key for key in data if key not in FIELDS)
     if unknown:
         raise ConfigError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
-    renames = {"N": "n", "M_ref": "m_ref"}
-    for key, cast in _SCALAR_FIELDS.items():
-        if key in data and data[key] is not None:
-            value = str(data[key]) if cast is str else _number(key, data[key], cast)
-            setattr(cfg, renames.get(key, key), value)
-    if "p" in data:
-        cfg.p = _profile_from_json(data["p"])
-    if "q" in data:
-        cfg.q = _profile_from_json(data["q"])
-    if "M" in data:
-        raw = data["M"]
-        cfg.m_list = [_number("M", m, int) for m in (raw if isinstance(raw, list) else [raw])]
-    if "schemes" in data:
-        cfg.schemes = _schemes_from_json(data["schemes"])
-
-
-def _apply_preset(cfg: RunConfig, preset_id: str) -> None:
-    preset = load_preset(preset_id)
-    spec = preset.spec
-    cfg.kind = preset.kind
-    cfg.n = preset.n
-    cfg.alpha, cfg.beta, cfg.gamma, cfg.delta = spec.alpha, spec.beta, spec.gamma, spec.delta
-    cfg.g, cfg.h, cfg.p, cfg.q = spec.g, spec.h, spec.p, spec.q
-    cfg.ell, cfg.T = spec.ell, spec.T
-    cfg.schemes = list(preset.schemes)
-    cfg.m_list = list(preset.m_list)
-    cfg.m_ref = preset.m_ref
-    cfg.ref_scheme = preset.ref_scheme
+    return {key: FIELDS[key](key, value) for key, value in data.items() if value is not None}
 
 
 def resolve_config(args) -> RunConfig:
-    cfg = RunConfig()
-    data = _read_config_file(args.config) if args.config else {}
-    preset_id = args.preset if args.preset is not None else data.get("preset")
-    if preset_id is not None:
-        _apply_preset(cfg, preset_id)
-    _apply_config_fields(cfg, data)
-    if args.N is not None:
-        cfg.n = args.N
-        cfg.n_from_flag = True
-    if args.T is not None:
-        cfg.T = args.T
-    if args.scheme is not None:
-        cfg.scheme = args.scheme
-    if args.c2 is not None:
-        cfg.c2 = args.c2
-    if args.M:
-        cfg.m_list = list(args.M)
-    if args.Mref is not None:
-        cfg.m_ref = args.Mref
-    if args.out is not None:
-        cfg.out = args.out
-    if args.snapshots is not None:
-        cfg.snapshots = args.snapshots
-    counts = [("M", m) for m in cfg.m_list] + [("M_ref", cfg.m_ref), ("snapshots", cfg.snapshots)]
+    """Preset, then config file, then flags, each layer overriding the one before."""
+    file = _read_config_file(args.config) if args.config else {}
+    flags = {key: value for key, value in vars(args).items() if key in FIELDS and value is not None}
+    # the preset names the lowest layer, so it leaves both dicts: --preset first
+    preset_id = flags.pop("preset", file.pop("preset", None))
+    merged = _preset_fields(preset_id) if preset_id is not None else {}
+    merged.update(file)
+    merged.update(flags)
+    cfg = RunConfig(**merged, n_from_flag="N" in flags)
+    counts = [("M", m) for m in cfg.M] + [("M_ref", cfg.M_ref), ("snapshots", cfg.snapshots)]
     for name, value in counts:
         if value is not None and value < 1:
             raise ConfigError(f"{name} must be a positive step count, got {value}")
@@ -251,12 +215,12 @@ def _build_problem(cfg: RunConfig):
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    if len(cfg.m_list) != 1:
-        raise ConfigError(f"solve needs exactly one step count, got M list {cfg.m_list}")
+    if len(cfg.M) != 1:
+        raise ConfigError(f"solve needs exactly one step count, got M list {cfg.M}")
     name, c2 = cfg.scheme_list()[0]
     tableau = build_tableau(name, c2)
     spec, op, prop = _build_problem(cfg)
-    m_steps = cfg.m_list[0]
+    m_steps = cfg.M[0]
     result = solve(prop, tableau, spec, m_steps, snapshot_every=cfg.snapshots or None)
     out = cfg.out or "solution.csv"
     x = grid_points(op.n, spec.ell)
@@ -287,21 +251,21 @@ def cmd_solve(cfg: RunConfig) -> int:
 
 
 def cmd_converge(cfg: RunConfig) -> int:
-    if len(cfg.m_list) < 3:
-        raise ConfigError(f"converge needs at least 3 step counts, got {cfg.m_list}")
-    if cfg.m_ref is None:
+    if len(cfg.M) < 3:
+        raise ConfigError(f"converge needs at least 3 step counts, got {cfg.M}")
+    if cfg.M_ref is None:
         raise ConfigError("converge needs a reference step count (--Mref)")
-    if cfg.m_ref <= max(cfg.m_list):
-        raise ConfigError(f"M_ref = {cfg.m_ref} must exceed the largest M = {max(cfg.m_list)}")
+    if cfg.M_ref <= max(cfg.M):
+        raise ConfigError(f"M_ref = {cfg.M_ref} must exceed the largest M = {max(cfg.M)}")
     schemes = cfg.scheme_list()
     spec, op, prop = _build_problem(cfg)
     ref_tab = build_tableau(cfg.ref_scheme, cfg.ref_c2)
-    y_ref = solve(prop, ref_tab, spec, cfg.m_ref).y_final
+    y_ref = solve(prop, ref_tab, spec, cfg.M_ref).y_final
     rows = []
     for name, c2 in schemes:
         tableau = build_tableau(name, c2)
         errors = []
-        for m_steps in sorted(cfg.m_list):
+        for m_steps in sorted(cfg.M):
             y = solve(prop, tableau, spec, m_steps).y_final
             err = discrete_l2_error(y, y_ref, op.dx)
             errors.append((m_steps, err))
@@ -315,10 +279,8 @@ def cmd_converge(cfg: RunConfig) -> int:
 
 
 def cmd_modes(cfg: RunConfig) -> int:
-    spec = cfg.problem_spec()
-    op = build_operator(cfg.kind, cfg.grid_size(), spec.ell)
-    fact = factorize(op)
-    p = classify_mode(fact.lam, spec.alpha, spec.beta, spec.gamma, spec.delta)
+    _, _, prop = _build_problem(cfg)
+    p = prop.modes
     rows = [
         (str(i), _fmt(lam), _fmt(m), _fmt(n), CASE_NAMES[case])
         for i, (lam, m, n, case) in enumerate(zip(p.lam, p.m, p.n, p.case), start=1)
@@ -330,7 +292,7 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    sizes = (cfg.n,) if cfg.n_from_flag else (4, 8, 16)
+    sizes = (cfg.N,) if cfg.n_from_flag else (4, 8, 16)
     for n in sizes:
         if n > 64:
             raise OracleScaleError(f"oracle check capped at n = 64, got {n}")
@@ -385,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="N",
             help="step count (repeat for converge)",
         )
-        p.add_argument("--Mref", type=int, metavar="N", help="reference step count")
+        p.add_argument("--Mref", dest="M_ref", type=int, metavar="N", help="reference step count")
         p.add_argument("--N", type=int, metavar="n", help="number of interior grid points")
         p.add_argument("--T", type=float, metavar="t", help="final time")
         p.add_argument("--out", metavar="PATH", help="output CSV path")

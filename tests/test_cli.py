@@ -1,13 +1,17 @@
 """Command-line interface: config resolution, CSV outputs, exit codes."""
 
+import copy
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from wavebeam.cli import build_parser, main, resolve_config
+from wavebeam.cli import FIELDS, RunConfig, build_parser, main, resolve_config
+from wavebeam.discretize import Profile
+from wavebeam.presets import PRESETS
 
 LINEAR_CONFIG = {
     "kind": "wave",
@@ -22,6 +26,23 @@ LINEAR_CONFIG = {
     "ell": 1.0,
     "T": 0.5,
     "N": 16,
+}
+
+# every key of the config vocabulary, each away from its RunConfig default and
+# from wave1's value
+EVERY_KEY = {
+    "kind": "beam", "alpha": 3.5, "beta": 0.25, "gamma": 0.125, "delta": 2.0,
+    "g": "cube", "h": "abs", "p": {"name": "hat", "params": [2.0]},
+    "q": {"name": "cosine", "params": [1.5, 3.0]}, "ell": 2.0, "T": 0.75, "N": 12,
+    "scheme": "EI-SW22", "c2": 0.4, "schemes": [{"name": "EI-SW21", "c2": 0.3}, "EI-K4"],
+    "M": [6, 12, 24], "M_ref": 96, "ref_scheme": "EI-SW21", "ref_c2": 0.6,
+    "out": "every.csv", "snapshots": 3,
+}
+EVERY_FIELD = {
+    **EVERY_KEY,
+    "p": Profile("hat", (2.0,)),
+    "q": Profile("cosine", (1.5, 3.0)),
+    "schemes": [("EI-SW21", 0.3), ("EI-K4", None)],
 }
 
 
@@ -226,12 +247,62 @@ class TestConfigPrecedence:
         args = build_parser().parse_args(["solve", "--config", cfg, "--T", "0.25"])
         got = resolve_config(args)
         assert (got.g, got.alpha, got.T) == ("zero", 1.0, 0.25)
-        assert got.n == 200  # from the preset
+        assert got.N == 200  # from the preset
 
     def test_bad_config_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["solve", "--config", str(path), "--M", "4"]) != 0
+
+    def test_every_key_reaches_its_field_and_every_flag_beats_the_file(self, tmp_path):
+        assert set(EVERY_KEY) == set(FIELDS) - {"preset"}
+        assert set(EVERY_KEY) == {f.name for f in fields(RunConfig)} - {"n_from_flag"}
+        path = write_config(tmp_path, {"preset": "wave1", **EVERY_KEY})
+        got = resolve_config(build_parser().parse_args(["converge", "--config", path]))
+        wave1 = resolve_config(build_parser().parse_args(["converge", "--preset", "wave1"]))
+        for key, value in EVERY_FIELD.items():
+            assert getattr(got, key) == value, key
+            assert value not in (getattr(RunConfig(), key), getattr(wave1, key)), key
+        assert got.scheme_list() == [("EI-SW22", 0.4)]  # scheme beats schemes
+        assert not got.n_from_flag
+
+        flags = ["--N", "14", "--T", "0.5", "--scheme", "EI-E1", "--c2", "0.9", "--M", "7",
+                 "--M", "9", "--Mref", "70", "--out", "flag.csv", "--snapshots", "2"]
+        got = resolve_config(build_parser().parse_args(["converge", "--config", path, *flags]))
+        assert (got.N, got.T, got.scheme, got.c2, got.M, got.M_ref, got.out, got.snapshots) == (
+            14, 0.5, "EI-E1", 0.9, [7, 9], 70, "flag.csv", 2)
+        assert got.n_from_flag
+        got = resolve_config(build_parser().parse_args(["converge", "--config", path,
+                                                        "--preset", "beam1"]))
+        assert got.N == 12  # the file still beats the flag's preset
+        only_preset = write_config(tmp_path, {"preset": "wave1"}, name="preset.json")
+        got = resolve_config(build_parser().parse_args(["converge", "--config", only_preset,
+                                                        "--preset", "beam1"]))
+        assert (got.kind, got.N) == ("beam", 300)  # --preset beats the file's "preset"
+
+    def test_every_key_config_runs_with_its_ref_c2(self, tmp_path):
+        # EI-SW21 as reference needs its ref_c2; without it build_tableau fails
+        out = tmp_path / "every.csv"
+        path = write_config(tmp_path, {**EVERY_KEY, "out": str(out)})
+        assert main(["converge", "--config", path]) == 0
+        assert {row[0] for row in read_csv(out)[1:]} == {"EI-SW22"}
+
+    def test_resolving_twice_gives_equal_configs_and_leaves_presets(self, tmp_path):
+        before = copy.deepcopy(PRESETS)
+        path = write_config(tmp_path, {"preset": "wave1", "T": 0.5})
+        args = build_parser().parse_args(["converge", "--config", path, "--N", "10"])
+        first, second = resolve_config(args), resolve_config(args)
+        assert first == second
+        first.M.append(7)
+        first.schemes.clear()
+        assert resolve_config(args) == second
+        assert PRESETS == before
+
+    def test_unknown_keys_are_named_in_one_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, {**LINEAR_CONFIG, "alhpa": 3.0, "Mref": 64})
+        assert main(["solve", "--config", path, "--M", "4"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'Mref', 'alhpa'" in err, err
 
 
 SMALL_SOLVE = ["solve", "--preset", "wave1", "--N", "10", "--T", "0.25", "--scheme", "EI-E1"]
@@ -266,11 +337,17 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (CONVERGE, {**LINEAR_CONFIG, "schemes": {"name": "EI-K4"}}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "Mref": 5000}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "alhpa": 3.0}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": ["sine"]}, "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "q": {"name": {"a": 1}}, "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "N": True, "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": True}]}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "out": ["a.csv"]}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
-         "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa"],
+         "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
+         "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:
