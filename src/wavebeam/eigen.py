@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import BEAM, GridOperator
+from .errors import InvalidDimensionError
 
 
 @dataclass(frozen=True)
@@ -38,13 +39,21 @@ def factorize(op: GridOperator) -> SpectralFactorization:
     """S = Q diag(lam) Q' from the operator's kind, n and ell alone."""
     n = op.n
     j = np.arange(1, n + 1)
-    # reducing i*j modulo the period keeps every sine argument in [0, 2*pi)
-    q = np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1))
+    try:
+        # reducing i*j modulo the period keeps every sine argument in [0, 2*pi)
+        q = np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1))
+    except MemoryError:
+        raise InvalidDimensionError(
+            f"n = {n} needs a dense {n} x {n} eigenvector matrix of {8 * n * n:.3g} bytes, "
+            "more than can be allocated"
+        ) from None
     np.sin(q, out=q)
     q *= np.sqrt(2.0 / (n + 1))
-    lam = 4.0 / (op.dx * op.dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
-    if op.kind == BEAM:
-        lam = lam * lam
+    # a tiny ell gives inf here, not ZeroDivisionError; build_propagator names it
+    with np.errstate(divide="ignore", over="ignore"):
+        lam = 4.0 / np.float64(op.dx * op.dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
+        if op.kind == BEAM:
+            lam = lam * lam
     # q is exactly symmetric, so its transpose is the same matrix; as that
     # free Fortran-ordered view, the (2, n) @ q products of ``transform`` run
     # 1.2x faster at n = 600 than on the C-ordered array (OpenBLAS, 1 thread)

@@ -10,21 +10,26 @@ phi_k functions: entries of row i are evaluated at c_i*tau*A, weights at
 tau*A. Coefficients are stored symbolically as (k, weight) pairs, so the
 consistency identities sum_j a_ij = c_i*phi_1(c_i tau A) and
 sum_i b_i = phi_1(tau A) can be checked exactly.
+
+``solve`` steps in the difference form those row sums give (Hochbruck &
+Ostermann, SIAM J. Numer. Anal. 43, 2005), with D_j = F(Y_j) - F(y_n):
+
+    Y_i = exp(c_i tau A) y_n + c_i tau phi_1(c_i tau A) F(y_n) + tau * sum_{j>=2} a_ij D_j,
+
+and y_next alike at c = 1 with the b_i. The first two terms, the base of
+node c_i, are computed once per distinct node and step.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .discretize import GridOperator, ProblemSpec, StateVector, forcing_from_spec, initial_state
 from .errors import ConfigError, InstabilityError, UnknownSchemeError
 from .propagator import BlockPropagator, build_propagator
-
-# coefficient = sum of weight * phi_k, encoded ((k, weight), ...)
-PhiCombo = tuple
 
 SCHEME_NAMES = ("EI-E1", "EI-SW21", "EI-SW22", "EI-K4", "EI-SW4")
 
@@ -36,15 +41,15 @@ class SchemeTableau:
     name: str
     s: int
     c: tuple
-    a: tuple  # a[i] = row of PhiCombo entries for stages j < i
-    b: tuple  # one PhiCombo per stage
+    a: tuple  # a[i] = row of coefficients for stages j < i
+    b: tuple  # one coefficient per stage; each is sum weight*phi_k as ((k, weight), ...)
 
 
 @dataclass(frozen=True)
 class SolveStats:
     steps: int
     phi_evals: int  # distinct (t, k) mode-block tables built
-    phi_applies: int  # matrix-function actions applied
+    phi_applies: int  # apply_stacked calls
     wall_time: float
 
 
@@ -152,47 +157,35 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
 
 
 def _group_row(combos) -> tuple:
-    """((k, ((source index, weight), ...)), ...) for one coefficient row."""
+    """((k, ((stage index, weight), ...)), ...) over columns j >= 2; column 1 is in the base."""
     grouped: dict[int, list] = {}
-    for j, combo in enumerate(combos):
+    for j, combo in enumerate(combos[1:], start=1):
         for k, w in combo:
             grouped.setdefault(k, []).append((j, w))
     return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
-def _step_stacked(prop, a_grouped, b_grouped, c_nodes, forcing, tau, y):
-    # Stages with equal nodes share terms: each distinct (k, c, source
-    # combination) is applied once per step. Memoized arrays are only read.
-    applied: dict[tuple, np.ndarray] = {}
-
-    def combination(c, grouped):
-        total = None
-        for k, pairs in ((0, None), *grouped):
-            key = (k, c, pairs)
-            if key not in applied:
-                vec = y
-                if pairs is not None:
-                    (j0, w0), *rest = pairs
-                    vec = w0 * f_stages[j0]
-                    for j, w in rest:
-                        vec = vec + w * f_stages[j]
-                applied[key] = prop.apply_stacked(k, c * tau, vec)
-            total = applied[key] if total is None else total + tau * applied[key]
-        return total
-
+def _step_stacked(prop, rows, forcing, tau, y):
     # blow-ups surface as InstabilityError, so numpy's own overflow
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        f_stages = [forcing(y)]
-        for i in range(1, len(c_nodes)):
-            yi = combination(c_nodes[i], a_grouped[i])
+        f0 = forcing(y)
+        base = {}
+        for c in {node for node, _ in rows}:
+            t = c * tau
+            base[c] = prop.apply_stacked(0, t, y) + t * prop.apply_stacked(1, t, f0)
+        diffs = [None]  # D_j, indexed from 0 like the stages; D_1 = 0 is never read
+        for i, (c, grouped) in enumerate(rows, start=2):
+            yi = base[c]
+            for k, pairs in grouped:
+                vec = sum(w * diffs[j] for j, w in pairs)
+                yi = yi + tau * prop.apply_stacked(k, c * tau, vec)
             if not np.all(np.isfinite(yi)):
-                raise InstabilityError(f"non-finite values in stage {i + 1}")
-            f_stages.append(forcing(yi))
-        y_next = combination(1.0, b_grouped)
-        if not np.all(np.isfinite(y_next)):
-            raise InstabilityError("non-finite values in the step update")
-    return y_next
+                where = f"stage {i}" if i <= len(rows) else "the step update"
+                raise InstabilityError(f"non-finite values in {where}")
+            if i <= len(rows):
+                diffs.append(forcing(yi) - f0)
+    return yi
 
 
 def solve(
@@ -210,15 +203,15 @@ def solve(
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
-    a_grouped = [_group_row(row) for row in tableau.a]
-    b_grouped = _group_row(tableau.b)
+    # stages 2..s, then the update at node 1
+    rows = [*zip(tableau.c[1:], map(_group_row, tableau.a[1:])), (1.0, _group_row(tableau.b))]
 
-    built0, applied0 = prop.tables_built, prop.applies
+    built0, applies0 = prop.tables_built, prop.applies
     snapshots = [] if snapshot_every else None
     start = time.perf_counter()
     for i in range(M):
         try:
-            y = _step_stacked(prop, a_grouped, b_grouped, tableau.c, forcing, tau, y)
+            y = _step_stacked(prop, rows, forcing, tau, y)
         except InstabilityError as exc:
             raise InstabilityError(
                 f"{tableau.name} unstable at step {i + 1} of {M} (t = {(i + 1) * tau:.6g}): {exc}",
@@ -233,7 +226,7 @@ def solve(
     stats = SolveStats(
         steps=M,
         phi_evals=prop.tables_built - built0,
-        phi_applies=prop.applies - applied0,
+        phi_applies=prop.applies - applies0,
         wall_time=wall,
     )
     return SolveResult(StateVector.from_stacked(y), snapshots, stats)
@@ -253,9 +246,7 @@ def merged_damping_solve(
     comparison variant; it loses accuracy for damped waves and goes unstable
     for the stiff beam operator at step sizes the full propagator handles.
     """
-    import dataclasses
-
-    lin_spec = dataclasses.replace(spec, beta=0.0, gamma=0.0)
+    lin_spec = replace(spec, beta=0.0, gamma=0.0)
     prop = build_propagator(op, lin_spec, fact=fact)
     nonlinear = forcing_from_spec(spec, op.n)
     s_mat = op.stencil

@@ -22,7 +22,7 @@ import numpy as np
 
 from .discretize import GridOperator, ProblemSpec, StateVector
 from .eigen import SpectralFactorization, factorize
-from .errors import DimensionMismatchError, PhiOrderError
+from .errors import DimensionMismatchError, InvalidDimensionError, PhiOrderError
 from .modefuncs import K_MAX, ModeParams, classify_mode, phi_block
 
 
@@ -97,6 +97,15 @@ def build_propagator(
     if fact.n != op.n:
         raise DimensionMismatchError(
             f"factorization of size {fact.n} does not match operator size {op.n}"
+        )
+    lam_max = fact.lam[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        scales = (lam_max, 4.0 * (spec.alpha * lam_max + spec.delta),
+                  (spec.beta * lam_max + spec.gamma) ** 2)
+    if not np.all(np.isfinite(scales)):
+        raise InvalidDimensionError(
+            f"ell = {op.ell:g} is too small at n = {op.n}: the mode block of the largest "
+            f"eigenvalue ({lam_max:.3g}) overflows double precision"
         )
     modes = classify_mode(fact.lam, spec.alpha, spec.beta, spec.gamma, spec.delta)
     params = (spec.alpha, spec.beta, spec.gamma, spec.delta)

@@ -9,7 +9,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wavebeam.cli import FIELDS, RunConfig, build_parser, main, resolve_config
+from wavebeam.cli import COMMANDS, FIELDS, RunConfig, build_parser, main, resolve_config
 from wavebeam.discretize import Profile
 from wavebeam.presets import PRESETS
 
@@ -342,12 +342,15 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "N": True, "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": True}]}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "out": ["a.csv"]}),
+        (["solve"], {"preset": "wave1", "ell": 1e-300, "N": 20, "M": [4], "scheme": "EI-E1"}),
+        (["solve"], {"preset": "beam1", "ell": 1e-40, "N": 20, "M": [4], "scheme": "EI-E1"}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
          "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
-         "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list"],
+         "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list",
+         "ell-tiny-wave", "ell-tiny-beam"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:
@@ -362,3 +365,39 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
     assert main(SMALL_SOLVE + ["--M", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "config, words",
+    [
+        ({"preset": "wave1", "ell": 1e-300, "N": 20}, ("ell = 1e-300", "n = 20")),
+        ({"preset": "beam1", "ell": 1e-40, "N": 20}, ("ell = 1e-40", "n = 20")),
+        # an n x n Q of 728 TiB exceeds every 64-bit user address space, so
+        # the allocation fails whatever the host's overcommit setting
+        ({"preset": "wave1", "N": 10_000_000}, ("n = 10000000", "8e+14 bytes")),
+    ],
+    ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge"],
+)
+def test_set_up_error_names_its_inputs(tmp_path, capsys, config, words):
+    path = write_config(tmp_path, {**config, "M": [4], "scheme": "EI-E1"})
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert all(word in err for word in words), err
+
+
+def test_beam_at_small_finite_ell_still_runs(tmp_path):
+    path = write_config(tmp_path, {"preset": "beam1", "ell": 1e-20, "N": 20, "M": [4],
+                                   "scheme": "EI-E1"})
+    out = tmp_path / "x.csv"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    assert np.all(np.isfinite([[float(v) for v in r] for r in read_csv(out)[1:]]))
+
+
+def test_parser_is_built_once_and_each_call_sees_its_own_m_list(monkeypatch):
+    seen = []
+    monkeypatch.setitem(COMMANDS, "converge", lambda cfg: seen.append(cfg.M) or 0)
+    assert main(["converge", "--preset", "wave1", "--M", "4", "--M", "8"]) == 0
+    assert main(["converge", "--preset", "wave1", "--M", "16"]) == 0
+    assert seen == [[4, 8], [16]]
+    assert build_parser() is build_parser()

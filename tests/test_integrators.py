@@ -254,11 +254,13 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "name,c2,applies",
-        [("EI-SW4", None, 8), ("EI-SW21", 0.75, 5), ("EI-SW21", 1.0, 3), ("EI-SW22", 1.0, 3)],
+        [("EI-E1", None, 2), ("EI-SW21", 0.75, 5), ("EI-SW21", 1.0, 3), ("EI-SW22", 0.75, 5),
+         ("EI-SW22", 1.0, 3), ("EI-K4", None, 8), ("EI-SW4", None, 8)],
     )
     def test_phi_applies_per_step(self, name, c2, applies):
-        # exp(c tau A) y and phi_k terms of the same source combination are
-        # applied once per step; at c2 = 1 stage 2 shares with the update
+        # each distinct node among c_2..c_s and 1 costs two applies for its
+        # base (exp and phi_1), and each row one more per order k it has on
+        # the D_j, j >= 2; at c2 = 1 stage 2 and the update share one base
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau(name, c2), spec, 4)
         assert res.stats.phi_applies == applies * 4
