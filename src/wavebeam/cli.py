@@ -215,6 +215,12 @@ def _build_problem(cfg: RunConfig):
     return spec, op, build_propagator(op, spec)
 
 
+def _state_rows(xs, state, *lead):
+    """CSV rows (*lead, x, u, w) of one state, lazily; xs and lead come formatted."""
+    for xi, ui, wi in zip(xs, state.u.tolist(), state.w.tolist()):
+        yield (*lead, xi, _fmt(ui), _fmt(wi))
+
+
 def cmd_solve(cfg: RunConfig) -> int:
     if len(cfg.M) != 1:
         raise ConfigError(f"solve needs exactly one step count, got M list {cfg.M}")
@@ -224,25 +230,14 @@ def cmd_solve(cfg: RunConfig) -> int:
     m_steps = cfg.M[0]
     result = solve(prop, tableau, spec, m_steps, snapshot_every=cfg.snapshots or None)
     out = cfg.out or "solution.csv"
-    x = grid_points(op.n, spec.ell)
-    _write_csv(
-        out,
-        ("x", "u", "w"),
-        (
-            (_fmt(xi), _fmt(ui), _fmt(wi))
-            for xi, ui, wi in zip(x, result.y_final.u, result.y_final.w)
-        ),
-    )
+    xs = [_fmt(xi) for xi in grid_points(op.n, spec.ell).tolist()]
+    _write_csv(out, ("x", "u", "w"), _state_rows(xs, result.y_final))
     if result.snapshots is not None:
         snap_path = os.path.splitext(out)[0] + "_snapshots.csv"
         _write_csv(
             snap_path,
             ("t", "x", "u", "w"),
-            (
-                (_fmt(t), _fmt(xi), _fmt(ui), _fmt(wi))
-                for t, state in result.snapshots
-                for xi, ui, wi in zip(x, state.u, state.w)
-            ),
+            (row for t, state in result.snapshots for row in _state_rows(xs, state, _fmt(t))),
         )
     print(
         f"scheme={tableau.name} M={m_steps} wall={result.stats.wall_time:.3f}s "

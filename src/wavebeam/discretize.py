@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     DimensionMismatchError,
@@ -63,8 +62,11 @@ class GridOperator:
         return self.ell / (self.n + 1)
 
     @cached_property
-    def stencil(self) -> sp.csr_matrix:
-        """Sparse S; see the module docstring for its entries."""
+    def stencil(self):
+        """Sparse S as a scipy CSR matrix; see the module docstring for its entries."""
+        # imported here: the solve path never needs S itself, so never loads scipy
+        import scipy.sparse as sp
+
         n, dx = self.n, self.dx
         if self.kind == WAVE:
             c = 1.0 / (dx * dx)

@@ -40,15 +40,24 @@ def factorize(op: GridOperator) -> SpectralFactorization:
     n = op.n
     j = np.arange(1, n + 1)
     try:
-        # reducing i*j modulo the period keeps every sine argument in [0, 2*pi)
-        q = np.outer(j, j) % (2 * (n + 1)) * (np.pi / (n + 1))
+        q = np.empty((n, n))
     except MemoryError:
         raise InvalidDimensionError(
             f"n = {n} needs a dense {n} x {n} eigenvector matrix of {8 * n * n:.3g} bytes, "
             "more than can be allocated"
         ) from None
-    np.sin(q, out=q)
-    q *= np.sqrt(2.0 / (n + 1))
+    # Q_ij depends on i*j only modulo the period 2(n+1), so Q takes 2(n+1)
+    # distinct values: one sine table, gathered into Q a block of rows at a
+    # time through int64 index blocks of about 64 KB. Each entry is the same
+    # float operations as sin((ij mod 2(n+1)) * pi/(n+1)) * sqrt(2/(n+1)).
+    period = 2 * (n + 1)
+    table = np.sin(np.arange(period) * (np.pi / (n + 1)))
+    table *= np.sqrt(2.0 / (n + 1))
+    rows = max(1, 8192 // n)
+    for start in range(0, n, rows):
+        idx = np.outer(j[start : start + rows], j)
+        idx %= period
+        np.take(table, idx, out=q[start : start + rows])
     # a tiny ell gives inf here, not ZeroDivisionError; build_propagator names it
     with np.errstate(divide="ignore", over="ignore"):
         lam = 4.0 / np.float64(op.dx * op.dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2

@@ -1,6 +1,7 @@
 """Spectral factorization: invariants, analytic values, determinism."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,30 @@ def test_determinism():
     f2 = factorize(op)
     assert np.array_equal(f1.q, f2.q)
     assert np.array_equal(f1.lam, f2.lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 600, 1001])
+def test_q_is_the_dst_matrix_bit_for_bit(n):
+    # Q_ij = sqrt(2/(n+1)) sin(((ij) mod 2(n+1)) pi/(n+1)), evaluated a row at a time
+    j = np.arange(1, n + 1)
+    expected = np.empty((n, n))
+    for i in range(1, n + 1):
+        expected[i - 1] = np.sin((i * j) % (2 * (n + 1)) * (np.pi / (n + 1)))
+        expected[i - 1] *= np.sqrt(2.0 / (n + 1))
+    q = factorize(build_wave_operator(n, 1.0)).q
+    assert q.tobytes(order="C") == expected.tobytes(order="C")
+
+
+def test_factorize_allocates_little_beyond_q():
+    n = 1000
+    op = build_beam_operator(n, 1.0)
+    tracemalloc.start()
+    try:
+        factorize(op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x the bytes of Q"
 
 
 def closed_form_eigenvalues(kind, n):

@@ -1,6 +1,10 @@
-"""Module layering: the engine modules never reach into the comparators or the presets."""
+"""Module layering: the engine modules never reach into the comparators or the presets,
+and the CLI commands that solve never load scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -27,3 +31,31 @@ def imported_modules(tree):
 def test_engine_module_imports_no_comparator_or_preset(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     assert not OFF_LIMITS & set(imported_modules(tree))
+
+
+SOLVE_PATH_SCRIPT = """
+import sys
+from wavebeam.cli import main
+
+runs = (
+    ["solve", "--preset", "beam1", "--N", "16", "--M", "4", "--snapshots", "2",
+     "--out", "sol.csv"],
+    ["converge", "--preset", "wave1", "--N", "8", "--T", "0.25", "--scheme", "EI-SW22",
+     "--c2", "0.5", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64", "--out", "conv.csv"],
+    ["modes", "--preset", "beam1", "--N", "16", "--out", "modes.csv"],
+)
+for argv in runs:
+    assert main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_solve_converge_and_modes_load_no_scipy(tmp_path):
+    # scipy.sparse alone adds ~22 MB to a process; only the oracles need it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SOLVE_PATH_SCRIPT], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]", done.stdout
+    assert (tmp_path / "sol_snapshots.csv").exists()
