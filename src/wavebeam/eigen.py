@@ -7,63 +7,122 @@ operator equals the square of the wave operator entry for entry, so it has
 the same Q and the squared eigenvalues (Strang, "The discrete cosine
 transform", SIAM Review 41, 1999). Eigenvalues ascend and each column of Q
 has a positive first component. Q is also exactly symmetric, so Q' = Q.
+
+From n = N_FOLD on, the factorization keeps only two half-size blocks of Q
+and ``transform`` applies them through the first even/odd stage of the same
+DST: Q_{i,n+1-j} = (-1)^(i+1) Q_ij, so the right half of x @ Q follows from
+the left half's two partial sums. That halves the flops and the bytes each
+transform reads; Q itself is built only when ``q`` is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .discretize import BEAM, GridOperator
 from .errors import InvalidDimensionError
 
+# Measured crossover: from this n on, the fold steps an EI-K4 solve faster
+# than the dense Q does (OpenBLAS, one thread; table in README); below it the
+# two extra products and the fold's O(n) passes cost more than they save.
+N_FOLD = 384
+
 
 @dataclass(frozen=True)
 class SpectralFactorization:
-    """Symmetric orthogonal eigenvector matrix and ascending eigenvalues."""
+    """Ascending eigenvalues and the matrices ``transform`` multiplies by.
 
-    q: np.ndarray
+    Below N_FOLD ``dense`` is Q. From N_FOLD on it is None and ``fold`` holds
+    A = Q[odd i, :h] and B = Q[even i, :h], with h = ceil(n/2) (1-based i).
+    """
+
     lam: np.ndarray
+    dense: np.ndarray | None
+    fold: tuple
 
     @property
     def n(self) -> int:
         return self.lam.size
 
+    @cached_property
+    def q(self) -> np.ndarray:
+        """The symmetric orthogonal eigenvector matrix, built on first read when folded."""
+        return _dst_matrix(self.n) if self.dense is None else self.dense
+
     def transform(self, x: np.ndarray) -> np.ndarray:
         """x @ Q on row vectors: grid values to mode coefficients and back."""
-        return x @ self.q
+        if self.dense is not None:
+            return x @ self.dense
+        odd, even = self.fold
+        a = x[..., 0::2] @ odd
+        b = x[..., 1::2] @ even
+        y = np.empty(x.shape, dtype=a.dtype)
+        h = a.shape[-1]
+        # y[n+1-j] = a - b first, so that y[j] = a + b wins the middle column of odd n
+        np.subtract(a, b, out=y[..., ::-1][..., :h])
+        np.add(a, b, out=y[..., :h])
+        return y
+
+
+def _allocate(n: int, what: str, *shapes) -> list:
+    try:
+        return [np.empty(shape) for shape in shapes]
+    except MemoryError:
+        nbytes = 8 * sum(rows * cols for rows, cols in shapes)
+        raise InvalidDimensionError(
+            f"n = {n} needs {what} of {nbytes:.3g} bytes, more than can be allocated"
+        ) from None
+
+
+def _gather(n: int, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None:
+    """out[r, c] = Q_ij at (1-based) i = rows[r], j = cols[c], from one sine table.
+
+    Q_ij depends on i*j only modulo the period 2(n+1), so Q takes 2(n+1)
+    distinct values: one table, gathered a block of rows at a time through
+    int64 index blocks of about 64 KB. Each entry is the same float
+    operations as sin((ij mod 2(n+1)) * pi/(n+1)) * sqrt(2/(n+1)), so every
+    block of Q holds its entries bit for bit.
+    """
+    period = 2 * (n + 1)
+    table = np.sin(np.arange(period) * (np.pi / (n + 1)))
+    table *= np.sqrt(2.0 / (n + 1))
+    step = max(1, 8192 // cols.size)
+    for start in range(0, rows.size, step):
+        idx = np.outer(rows[start : start + step], cols)
+        idx %= period
+        np.take(table, idx, out=out[start : start + step])
+
+
+def _dst_matrix(n: int) -> np.ndarray:
+    j = np.arange(1, n + 1)
+    (q,) = _allocate(n, f"a dense {n} x {n} eigenvector matrix", (n, n))
+    _gather(n, j, j, q)
+    # q is exactly symmetric, so its transpose is the same matrix; as that
+    # free Fortran-ordered view, the (2, n) @ q products of ``transform`` run
+    # 1.2x faster at n = 600 than on the C-ordered array (OpenBLAS, 1 thread)
+    return q.T
 
 
 def factorize(op: GridOperator) -> SpectralFactorization:
     """S = Q diag(lam) Q' from the operator's kind, n and ell alone."""
     n = op.n
     j = np.arange(1, n + 1)
-    try:
-        q = np.empty((n, n))
-    except MemoryError:
-        raise InvalidDimensionError(
-            f"n = {n} needs a dense {n} x {n} eigenvector matrix of {8 * n * n:.3g} bytes, "
-            "more than can be allocated"
-        ) from None
-    # Q_ij depends on i*j only modulo the period 2(n+1), so Q takes 2(n+1)
-    # distinct values: one sine table, gathered into Q a block of rows at a
-    # time through int64 index blocks of about 64 KB. Each entry is the same
-    # float operations as sin((ij mod 2(n+1)) * pi/(n+1)) * sqrt(2/(n+1)).
-    period = 2 * (n + 1)
-    table = np.sin(np.arange(period) * (np.pi / (n + 1)))
-    table *= np.sqrt(2.0 / (n + 1))
-    rows = max(1, 8192 // n)
-    for start in range(0, n, rows):
-        idx = np.outer(j[start : start + rows], j)
-        idx %= period
-        np.take(table, idx, out=q[start : start + rows])
+    dense, fold = None, ()
+    if n < N_FOLD:
+        dense = _dst_matrix(n)
+    else:
+        # gathered transposed, so that A and B are Fortran-ordered views as Q is
+        h = (n + 1) // 2
+        odd, even = _allocate(n, "two half-size sine blocks", (h, h), (h, n // 2))
+        _gather(n, j[:h], j[0::2], odd)
+        _gather(n, j[:h], j[1::2], even)
+        fold = (odd.T, even.T)
     # a tiny ell gives inf here, not ZeroDivisionError; build_propagator names it
     with np.errstate(divide="ignore", over="ignore"):
         lam = 4.0 / np.float64(op.dx * op.dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
         if op.kind == BEAM:
             lam = lam * lam
-    # q is exactly symmetric, so its transpose is the same matrix; as that
-    # free Fortran-ordered view, the (2, n) @ q products of ``transform`` run
-    # 1.2x faster at n = 600 than on the C-ordered array (OpenBLAS, 1 thread)
-    return SpectralFactorization(q=q.T, lam=lam)
+    return SpectralFactorization(lam=lam, dense=dense, fold=fold)

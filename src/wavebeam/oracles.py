@@ -220,8 +220,17 @@ def discrete_l2_error(y, y_ref, dx: float) -> float:
     b = y_ref.stacked() if isinstance(y_ref, StateVector) else np.asarray(y_ref, dtype=float)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"shapes {a.shape} and {b.shape} differ")
-    diff = a - b
-    return math.sqrt(dx * float(diff @ diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - b
+        err = math.sqrt(dx * float(diff @ diff))
+    if math.isfinite(err):
+        return err
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return math.inf
+    # a diverged but finite state: its squares overflow, so scale before squaring
+    scale = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    diff = a / scale - b / scale
+    return scale * math.sqrt(dx * float(diff @ diff))
 
 
 def observed_order(errors) -> float:

@@ -2,12 +2,13 @@
 
 The 2n-by-2n system matrix A = [[0, I], [-alpha*S - delta*I, -beta*S - gamma*I]]
 factors as diag(Q, Q) P diag(G_1..G_n) P' diag(Q', Q') once S = Q diag(lam) Q'.
-Applying any phi_k(tA) to a vector therefore costs two dense products, each
-reading Q once, plus O(n) block work: one product with Q takes both halves
-to spectral coefficients (Q'u, Q'w), the permutation P' interleaves them,
-each mode's 2x2 block multiplies its pair, and one product with Q' takes
-both halves back. Q is symmetric, so both products are
-``SpectralFactorization.transform``.
+Applying any phi_k(tA) to a vector therefore costs two products with Q plus
+O(n) block work: one product with Q takes both halves to spectral
+coefficients (Q'u, Q'w), the permutation P' interleaves them, each mode's
+2x2 block multiplies its pair, and one product with Q' takes both halves
+back. Q is symmetric, so both products are
+``SpectralFactorization.transform``, which reads the dense Q once, or from
+``eigen.N_FOLD`` on its two half-size blocks, half of Q's bytes.
 
 P is never formed or applied: a block table is the (2, 2, n) array of all
 the mode blocks, and its columns tab[:, 0] and tab[:, 1] multiply the two
@@ -76,7 +77,8 @@ class BlockPropagator:
         spectral halves into mode pairs and P separates them again, so on
         the stacked halves the middle three stages collapse to two
         coefficient multiplies by the columns tab[:, 0] and tab[:, 1] of
-        the (2, 2, n) block table. Q is read once in and once out.
+        the (2, 2, n) block table. Q (or its folded blocks) is read once in
+        and once out.
         """
         n = self.n
         if y.shape != (2 * n,):

@@ -372,9 +372,10 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
     [
         ({"preset": "wave1", "ell": 1e-300, "N": 20}, ("ell = 1e-300", "n = 20")),
         ({"preset": "beam1", "ell": 1e-40, "N": 20}, ("ell = 1e-40", "n = 20")),
-        # an n x n Q of 728 TiB exceeds every 64-bit user address space, so
-        # the allocation fails whatever the host's overcommit setting
-        ({"preset": "wave1", "N": 10_000_000}, ("n = 10000000", "8e+14 bytes")),
+        # each of the fold's two half-size blocks of Q, 182 TiB, exceeds every
+        # 64-bit user address space, so the allocation fails whatever the
+        # host's overcommit setting
+        ({"preset": "wave1", "N": 10_000_000}, ("n = 10000000", "4e+14 bytes")),
     ],
     ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge"],
 )

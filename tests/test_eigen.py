@@ -13,8 +13,10 @@ from wavebeam.discretize import (
     build_wave_operator,
     grid_points,
 )
-from wavebeam.eigen import factorize
+from wavebeam.eigen import N_FOLD, factorize
+from wavebeam.integrators import build_tableau, solve
 from wavebeam.modefuncs import classify_mode, phi_block
+from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator
 
 BUILDERS = {"wave": build_wave_operator, "beam": build_beam_operator}
@@ -89,15 +91,44 @@ def test_q_is_the_dst_matrix_bit_for_bit(n):
 
 
 def test_factorize_allocates_little_beyond_q():
+    # n = 1000 is folded: factorize holds two half-size blocks, half the bytes
+    # of Q, and the dense Q, built on first read, allocates little beyond itself
     n = 1000
     op = build_beam_operator(n, 1.0)
     tracemalloc.start()
     try:
-        factorize(op)
-        peak = tracemalloc.get_traced_memory()[1]
+        fact = factorize(op)
+        held, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert fact.q.shape == (n, n)
+        q_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x the bytes of Q"
+    assert peak <= 0.6 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} x the bytes of Q"
+    assert q_peak <= 1.25 * 8 * n * n, f"q read peak {q_peak / (8 * n * n):.2f} x its bytes"
+
+
+@pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 601, 1001])
+def test_folded_transform_is_the_product_with_q(n):
+    fact = factorize(build_beam_operator(n, 1.0))
+    assert fact.dense is None
+    rng = np.random.default_rng(n)
+    rows = [rng.standard_normal((2, n)), *np.eye(n)[[0, n // 2, n - 1]]]
+    for x in rows:
+        want = x @ fact.q
+        err = np.max(np.abs(fact.transform(x) - want)) / np.max(np.abs(want))
+        assert err <= 1e-14, f"{err:.2e}"
+    # the blocks are Q's own entries, not a second evaluation of the sines
+    odd, even = fact.fold
+    h = (n + 1) // 2
+    assert np.array_equal(odd, fact.q[0::2, :h]) and np.array_equal(even, fact.q[1::2, :h])
+
+
+def test_folded_solve_never_builds_q():
+    preset = load_preset("beam1")
+    prop = build_propagator(build_beam_operator(N_FOLD, 1.0), preset.spec)
+    solve(prop, build_tableau("EI-K4"), preset.spec, 4, snapshot_every=2)
+    assert "q" not in vars(prop.fact)
 
 
 def closed_form_eigenvalues(kind, n):

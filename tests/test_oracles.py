@@ -192,6 +192,23 @@ class TestErrorMetrics:
         with pytest.raises(DimensionMismatchError):
             discrete_l2_error(np.zeros(3), np.zeros(4), 0.1)
 
+    def test_diverged_finite_state_has_a_finite_error_and_no_warning(self):
+        # 1e200 squared overflows; the norm itself, 1e200 * sqrt(0.25 * 8), does not
+        big = np.full(8, 1e200)
+        big[::2] *= -1.0
+        err = discrete_l2_error(big, np.zeros(8), 0.25)
+        assert err == pytest.approx(1e200 * math.sqrt(2.0), rel=1e-15)
+        # nor does a difference whose subtraction overflows
+        err = discrete_l2_error(np.full(2, 1e308), np.full(2, -1e308), 0.125)
+        assert err == pytest.approx(1e308, rel=1e-15)
+
+    def test_infinite_only_past_double_range_or_for_non_finite_input(self):
+        assert discrete_l2_error(np.full(8, 1e308), np.zeros(8), 1.0) == math.inf
+        for bad in (math.inf, math.nan):
+            y = np.zeros(4)
+            y[1] = bad
+            assert discrete_l2_error(y, np.zeros(4), 0.5) == math.inf
+
     def test_observed_order_exact_powers(self):
         ms = [10, 20, 40, 80]
         assert observed_order([(m, 1.0 / m) for m in ms]) == pytest.approx(1.0, abs=1e-12)
