@@ -267,16 +267,17 @@ def nonlinearity(name: str):
 
 
 def forcing_from_spec(spec: ProblemSpec, n: int):
-    """The source term F(y) = (0, g(u) + h(w)) on the stacked (u, w) layout."""
+    """The source term F(y) = (0, f(y)) on the stacked (u, w) layout, as its w-half.
+
+    The equation is second order in time, so F's u-half is always zero; the
+    returned function maps the stacked y to a fresh (n,) array
+    f(y) = g(u) + h(w), and skips h when it is "zero".
+    """
     g = nonlinearity(spec.g)
+    if spec.h == "zero":
+        return lambda y: g(y[:n])
     h = nonlinearity(spec.h)
-
-    def forcing(y: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(y)
-        out[n:] = g(y[:n]) + h(y[n:])
-        return out
-
-    return forcing
+    return lambda y: g(y[:n]) + h(y[n:])
 
 
 def initial_state(spec: ProblemSpec, n: int) -> StateVector:

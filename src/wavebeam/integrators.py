@@ -18,6 +18,12 @@ Ostermann, SIAM J. Numer. Anal. 43, 2005), with D_j = F(Y_j) - F(y_n):
 
 and y_next alike at c = 1 with the b_i. The first two terms, the base of
 node c_i, are computed once per distinct node and step.
+
+F comes as its w-half f, an (n,) array with F = (0, f), as
+``forcing_from_spec`` returns it, so every phi_k term but the exp of a
+base moves one row in (``BlockPropagator.apply_stacked``); a full stacked
+(2n,) F is accepted too. The nodes and their times c*tau are fixed once
+per solve, and all steps run under one np.errstate.
 """
 
 from __future__ import annotations
@@ -165,26 +171,38 @@ def _group_row(combos) -> tuple:
     return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
 
 
-def _step_stacked(prop, rows, forcing, tau, y):
-    # blow-ups surface as InstabilityError, so numpy's own overflow
-    # warnings on the way there are suppressed
-    with np.errstate(over="ignore", invalid="ignore"):
-        f0 = forcing(y)
-        base = {}
-        for c in {node for node, _ in rows}:
-            t = c * tau
-            base[c] = prop.apply_stacked(0, t, y) + t * prop.apply_stacked(1, t, f0)
-        diffs = [None]  # D_j, indexed from 0 like the stages; D_1 = 0 is never read
-        for i, (c, grouped) in enumerate(rows, start=2):
-            yi = base[c]
-            for k, pairs in grouped:
-                vec = sum(w * diffs[j] for j, w in pairs)
-                yi = yi + tau * prop.apply_stacked(k, c * tau, vec)
-            if not np.all(np.isfinite(yi)):
-                where = f"stage {i}" if i <= len(rows) else "the step update"
-                raise InstabilityError(f"non-finite values in {where}")
-            if i <= len(rows):
-                diffs.append(forcing(yi) - f0)
+def _step_stacked(prop, nodes, rows, forcing, tau, y):
+    """One step from y.
+
+    ``nodes`` holds (c, c*tau) once per distinct node, ``rows`` holds
+    (c, c*tau, grouped row) per stage and the update. Runs under the
+    caller's np.errstate. Only arrays made here are added into in place:
+    ``forcing`` may return the same array on every call.
+    """
+    f0 = forcing(y)
+    base = {}
+    for c, t in nodes:
+        yc = prop.apply_stacked(0, t, y)
+        yc += t * prop.apply_stacked(1, t, f0)
+        base[c] = yc
+    diffs = [None]  # D_j, indexed from 0 like the stages; D_1 = 0 is never read
+    for i, (c, t, grouped) in enumerate(rows, start=2):
+        yi = base[c]
+        for m, (k, pairs) in enumerate(grouped):
+            (j, w), *rest = pairs
+            vec = w * diffs[j]
+            for j, w in rest:
+                vec += w * diffs[j]
+            term = tau * prop.apply_stacked(k, t, vec)
+            if m:
+                yi += term
+            else:  # base[c] may be shared with a later row
+                yi = yi + term
+        if not np.isfinite(yi).all():
+            where = f"stage {i}" if i <= len(rows) else "the step update"
+            raise InstabilityError(f"non-finite values in {where}")
+        if i <= len(rows):
+            diffs.append(forcing(yi) - f0)
     return yi
 
 
@@ -196,30 +214,41 @@ def solve(
     snapshot_every: int | None = None,
     forcing=None,
 ) -> SolveResult:
-    """M constant steps of size T/M from the sampled initial data to T."""
+    """M constant steps of size T/M from the sampled initial data to T.
+
+    ``forcing`` maps the stacked (2n,) state to the source F(y): either its
+    w-half alone, an (n,) array for F = (0, f), as ``forcing_from_spec``
+    returns, or the full stacked (2n,) F.
+    """
     if M < 1:
         raise ConfigError(f"step count must be positive, got {M}")
     tau = spec.T / M
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
-    # stages 2..s, then the update at node 1
-    rows = [*zip(tableau.c[1:], map(_group_row, tableau.a[1:])), (1.0, _group_row(tableau.b))]
+    # stages 2..s, then the update at node 1, each with its time c*tau
+    rows = [(c, c * tau, _group_row(combos))
+            for c, combos in [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]]
+    nodes = list(dict.fromkeys((c, t) for c, t, _ in rows))
 
     built0, applies0 = prop.tables_built, prop.applies
     snapshots = [] if snapshot_every else None
     start = time.perf_counter()
-    for i in range(M):
-        try:
-            y = _step_stacked(prop, rows, forcing, tau, y)
-        except InstabilityError as exc:
-            raise InstabilityError(
-                f"{tableau.name} unstable at step {i + 1} of {M} (t = {(i + 1) * tau:.6g}): {exc}",
-                step=i + 1,
-                time=(i + 1) * tau,
-            ) from exc
-        if snapshots is not None and (i + 1) % snapshot_every == 0 and i + 1 < M:
-            snapshots.append(((i + 1) * tau, StateVector.from_stacked(y)))
+    # blow-ups surface as InstabilityError, so numpy's own overflow
+    # warnings on the way there are suppressed
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(M):
+            try:
+                y = _step_stacked(prop, nodes, rows, forcing, tau, y)
+            except InstabilityError as exc:
+                raise InstabilityError(
+                    f"{tableau.name} unstable at step {i + 1} of {M} "
+                    f"(t = {(i + 1) * tau:.6g}): {exc}",
+                    step=i + 1,
+                    time=(i + 1) * tau,
+                ) from exc
+            if snapshots is not None and (i + 1) % snapshot_every == 0 and i + 1 < M:
+                snapshots.append(((i + 1) * tau, StateVector.from_stacked(y)))
     wall = time.perf_counter() - start
     if snapshots is not None:
         snapshots.append((spec.T, StateVector.from_stacked(y)))
@@ -255,8 +284,6 @@ def merged_damping_solve(
 
     def forcing(y: np.ndarray) -> np.ndarray:
         w = y[n:]
-        out = nonlinear(y)
-        out[n:] = out[n:] - beta * (s_mat @ w) - gamma * w
-        return out
+        return nonlinear(y) - beta * (s_mat @ w) - gamma * w
 
     return solve(prop, tableau, lin_spec, M, forcing=forcing)

@@ -133,10 +133,13 @@ def rk4_baseline_solve(op: GridOperator, spec: ProblemSpec, M: int) -> SolveResu
     if M < 1:
         raise ConfigError(f"step count must be positive, got {M}")
     a_mat = assemble_sparse_A(op, spec)
-    forcing = forcing_from_spec(spec, op.n)
+    n = op.n
+    forcing = forcing_from_spec(spec, n)
 
     def f(y):
-        return a_mat @ y + forcing(y)
+        dy = a_mat @ y
+        dy[n:] += forcing(y)
+        return dy
 
     tau = spec.T / M
     y = initial_state(spec, op.n).stacked()

@@ -15,6 +15,10 @@ the mode blocks, and its columns tab[:, 0] and tab[:, 1] multiply the two
 spectral halves directly. ``permutation_positions`` is the only record of
 P, as the position array of its nonzero column per row ([1, 3, 5, 2, 4, 6]
 for n = 3).
+
+A source term of the second-order-in-time equations has a zero u-half, so
+``apply_stacked`` also takes it as its w-half alone, an (n,) array: one row
+goes in and only the w-column tab[:, 1] of the blocks mixes it.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ class BlockPropagator:
         return tab
 
     def apply_stacked(self, k: int, t: float, y: np.ndarray) -> np.ndarray:
-        """phi_k(t*A) @ y on the stacked (u, w) layout.
+        """phi_k(t*A) @ y on the stacked (u, w) layout; an (n,) y is the source (0, y).
 
         Pipeline: one product with Q takes both halves to spectral
         coefficients (rows Q'u and Q'w), the per-mode 2x2 blocks mix them,
@@ -79,13 +83,22 @@ class BlockPropagator:
         coefficient multiplies by the columns tab[:, 0] and tab[:, 1] of
         the (2, 2, n) block table. Q (or its folded blocks) is read once in
         and once out.
+
+        A source of a second-order-in-time equation has a zero u-half, so
+        it is passed as its w-half alone: one row goes in and only the
+        w-column tab[:, 1] of each block mixes it.
         """
         n = self.n
-        if y.shape != (2 * n,):
-            raise DimensionMismatchError(f"expected stacked length {2 * n}, got {y.shape}")
+        if y.shape != (2 * n,) and y.shape != (n,):
+            raise DimensionMismatchError(
+                f"expected stacked length {2 * n} or source length {n}, got {y.shape}"
+            )
         tab = self.table(k, t)
-        spec = self.fact.transform(y.reshape(2, n))
-        out = self.fact.transform(tab[:, 0] * spec[0] + tab[:, 1] * spec[1])
+        if y.size == n:
+            out = self.fact.transform(tab[:, 1] * self.fact.transform(y))
+        else:
+            spec = self.fact.transform(y.reshape(2, n))
+            out = self.fact.transform(tab[:, 0] * spec[0] + tab[:, 1] * spec[1])
         self.applies += 1
         return out.reshape(2 * n)
 

@@ -162,7 +162,7 @@ class TestProfiles:
 def forcing(spec, u, w):
     """The production source term F(y) = (0, g(u) + h(w)) as a StateVector."""
     y = StateVector(u, w)
-    return StateVector.from_stacked(forcing_from_spec(spec, y.n)(y.stacked()))
+    return StateVector(np.zeros(y.n), forcing_from_spec(spec, y.n)(y.stacked()))
 
 
 class TestNonlinearity:

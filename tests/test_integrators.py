@@ -202,6 +202,32 @@ def test_step_matches_unshared_evaluation(name, c2):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("name,c2", [("EI-SW4", None), ("EI-SW22", 0.75)])
+@pytest.mark.parametrize("halves", [1, 2], ids=["w-half", "stacked"])
+def test_shared_forcing_array_left_unchanged(name, c2, halves):
+    # a forcing that returns one array on every call, as C5's constant one
+    # does, must come back bit for bit: the step may add in place only into
+    # arrays it made itself
+    spec, op, prop = damped_wave_setup(g="zero")
+    const = np.random.default_rng(5).standard_normal(halves * op.n)
+    kept = const.copy()
+    with np.errstate(over="warn", invalid="warn"):
+        errors = np.geterr()
+        solve(prop, build_tableau(name, c2), spec, 3, forcing=lambda _y: const)
+        assert np.geterr() == errors
+    assert np.array_equal(const, kept)
+
+
+def test_solve_restores_numpy_error_state_after_instability():
+    spec = ProblemSpec(alpha=1.0, g="cube", p=Profile("sine", (50.0, math.pi)), T=50.0)
+    prop = build_propagator(build_wave_operator(6, spec.ell), spec)
+    with np.errstate(over="warn", invalid="warn"):
+        errors = np.geterr()
+        with pytest.raises(InstabilityError):
+            solve(prop, build_tableau("EI-SW4"), spec, 10)
+        assert np.geterr() == errors
+
+
 class TestSolve:
     def test_linear_single_step_equals_exponential(self):
         spec, op, prop = damped_wave_setup(g="zero", T=0.8)

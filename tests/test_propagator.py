@@ -12,7 +12,7 @@ from wavebeam.discretize import (
     build_beam_operator,
     build_wave_operator,
 )
-from wavebeam.eigen import factorize
+from wavebeam.eigen import N_FOLD, factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
 from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, classify_mode, phi_block
 from wavebeam.oracles import apply_undamped_reference, assemble_dense_A, dense_phi
@@ -219,3 +219,24 @@ def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
                 # most beam modes underflow to all-zero blocks from t = 0.01 on
                 err = np.max(np.abs(tab[:, :, i] - blk)) / max(np.max(np.abs(blk)), 1e-300)
                 assert err <= 1e-15, f"k={k} t={t} mode {i}: {err:.2e}"
+
+
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 601])
+def test_source_half_matches_stacked_source(n):
+    # an (n,) f is the source (0, f): one row in, the w-column of each block
+    op = build_wave_operator(n, 1.0)
+    prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
+    assert (prop.fact.dense is None) == (n >= N_FOLD)
+    f = np.random.default_rng(n).standard_normal(n)
+    stacked = np.concatenate([np.zeros(n), f])
+    for k in range(5):
+        got = prop.apply_stacked(k, 0.03, f)
+        want = prop.apply_stacked(k, 0.03, stacked)
+        assert got.shape == (2 * n,)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-14, f"k={k}: {err:.2e}"
+    for bad in (n - 1, n + 1, 2 * n - 1, 2 * n + 1, 3 * n):
+        with pytest.raises(DimensionMismatchError):
+            prop.apply_stacked(0, 0.03, np.zeros(bad))
+    with pytest.raises(DimensionMismatchError):
+        prop.apply_stacked(0, 0.03, np.zeros((2, n)))
