@@ -17,13 +17,18 @@ Ostermann, SIAM J. Numer. Anal. 43, 2005), with D_j = F(Y_j) - F(y_n):
     Y_i = exp(c_i tau A) y_n + c_i tau phi_1(c_i tau A) F(y_n) + tau * sum_{j>=2} a_ij D_j,
 
 and y_next alike at c = 1 with the b_i. The first two terms, the base of
-node c_i, are computed once per distinct node and step.
+node c_i, are computed once per distinct node and step, as one combination
+apply ``apply_stacked((0, 1), c_i tau, (y_n, c_i tau F(y_n)))``. Each row
+with D-terms makes one more, ``apply_stacked(orders, c_i tau, terms)`` with
+one weighted sum tau * sum_j w_j D_j per order (Hochbruck & Ostermann, Acta
+Numerica 19, 2010, write the schemes in this form), and adds it to the
+row's shared base. An EI-K4 or EI-SW4 step makes 5 applies.
 
 F comes as its w-half f, an (n,) array with F = (0, f), as
 ``forcing_from_spec`` returns it, so every phi_k term but the exp of a
 base moves one row in (``BlockPropagator.apply_stacked``); a full stacked
-(2n,) F is accepted too. The nodes and their times c*tau are fixed once
-per solve, and all steps run under one np.errstate.
+(2n,) F is accepted too. The nodes, their times c*tau and the tau-scaled
+weights are fixed once per solve, and all steps run under one np.errstate.
 """
 
 from __future__ import annotations
@@ -162,47 +167,43 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _group_row(combos) -> tuple:
-    """((k, ((stage index, weight), ...)), ...) over columns j >= 2; column 1 is in the base."""
-    grouped: dict[int, list] = {}
-    for j, combo in enumerate(combos[1:], start=1):
+def _group_row(combos, tau: float) -> tuple:
+    """(orders, weights) of a row's D-terms, over its columns j >= 2.
+
+    weights[o, j - 2] is tau times the weight of phi_{orders[o]} on D_j;
+    column 1 is in the base.
+    """
+    orders = sorted({k for combo in combos[1:] for k, _ in combo})
+    weights = np.zeros((len(orders), len(combos) - 1))
+    for j, combo in enumerate(combos[1:]):
         for k, w in combo:
-            grouped.setdefault(k, []).append((j, w))
-    return tuple((k, tuple(pairs)) for k, pairs in sorted(grouped.items()))
+            weights[orders.index(k), j] += tau * w
+    return tuple(orders), weights
 
 
-def _step_stacked(prop, nodes, rows, forcing, tau, y):
+def _step_stacked(prop, nodes, rows, forcing, y):
     """One step from y.
 
     ``nodes`` holds (c, c*tau) once per distinct node, ``rows`` holds
-    (c, c*tau, grouped row) per stage and the update. Runs under the
-    caller's np.errstate. Only arrays made here are added into in place:
-    ``forcing`` may return the same array on every call.
+    (c, c*tau, orders, weights) per stage and the update. Each node's base
+    is one combination apply, and so are each row's D-terms, one weighted
+    sum of the D_j per order. Runs under the caller's np.errstate. No
+    array ``forcing`` returns is written to, so it may return one constant
+    array on every call; but F(y) is held through the step, so it may not
+    refill one buffer on each call.
     """
     f0 = forcing(y)
-    base = {}
-    for c, t in nodes:
-        yc = prop.apply_stacked(0, t, y)
-        yc += t * prop.apply_stacked(1, t, f0)
-        base[c] = yc
-    diffs = [None]  # D_j, indexed from 0 like the stages; D_1 = 0 is never read
-    for i, (c, t, grouped) in enumerate(rows, start=2):
+    base = {c: prop.apply_stacked((0, 1), t, (y, t * f0)) for c, t in nodes}
+    diffs = np.empty((len(rows) - 1, f0.size))  # D_j = F(Y_j) - F(y) of stages 2..s
+    for i, (c, t, orders, weights) in enumerate(rows):
         yi = base[c]
-        for m, (k, pairs) in enumerate(grouped):
-            (j, w), *rest = pairs
-            vec = w * diffs[j]
-            for j, w in rest:
-                vec += w * diffs[j]
-            term = tau * prop.apply_stacked(k, t, vec)
-            if m:
-                yi += term
-            else:  # base[c] may be shared with a later row
-                yi = yi + term
+        if orders:
+            yi = yi + prop.apply_stacked(orders, t, tuple(weights @ diffs[:i]))
         if not np.isfinite(yi).all():
-            where = f"stage {i}" if i <= len(rows) else "the step update"
+            where = f"stage {i + 2}" if i < len(diffs) else "the step update"
             raise InstabilityError(f"non-finite values in {where}")
-        if i <= len(rows):
-            diffs.append(forcing(yi) - f0)
+        if i < len(diffs):
+            np.subtract(forcing(yi), f0, out=diffs[i])
     return yi
 
 
@@ -218,7 +219,8 @@ def solve(
 
     ``forcing`` maps the stacked (2n,) state to the source F(y): either its
     w-half alone, an (n,) array for F = (0, f), as ``forcing_from_spec``
-    returns, or the full stacked (2n,) F.
+    returns, or the full stacked (2n,) F. An array it returns must keep its
+    values through the step: ``forcing`` may not refill one buffer.
     """
     if M < 1:
         raise ConfigError(f"step count must be positive, got {M}")
@@ -227,9 +229,9 @@ def solve(
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
     # stages 2..s, then the update at node 1, each with its time c*tau
-    rows = [(c, c * tau, _group_row(combos))
+    rows = [(c, c * tau, *_group_row(combos, tau))
             for c, combos in [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]]
-    nodes = list(dict.fromkeys((c, t) for c, t, _ in rows))
+    nodes = list(dict.fromkeys((c, t) for c, t, _, _ in rows))
 
     built0, applies0 = prop.tables_built, prop.applies
     snapshots = [] if snapshot_every else None
@@ -239,7 +241,7 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
             try:
-                y = _step_stacked(prop, nodes, rows, forcing, tau, y)
+                y = _step_stacked(prop, nodes, rows, forcing, y)
             except InstabilityError as exc:
                 raise InstabilityError(
                     f"{tableau.name} unstable at step {i + 1} of {M} "

@@ -13,8 +13,10 @@ t*G is affine in H:
 
 where r and s*eps*n are the even and odd parts of phi_k at the roots
 t*(m +- eps*n). ``classify_mode`` maps a scalar or an array of eigenvalues
-to one ``ModeParams`` of arrays lam, m, n and case, where case is sigma
-itself (``CASE_NAMES`` spells it out for text output); ``phi_block`` returns
+to one ``ModeParams`` of arrays lam, m, n, case and a, where case is sigma
+itself (``CASE_NAMES`` spells it out for text output) and a is kept as
+alpha*lam + delta, since m^2 - n^2 cancels by b^2/4a for overdamped modes
+(b = -2m); ``phi_block`` returns
 the (2, 2) + m.shape array of the blocks phi_k(t*G_i). With x = t*m,
 y = t*n and w = sigma*y^2 one formula serves every case and every k. Boolean
 masks split the modes into three regimes, each evaluated only on its own
@@ -23,7 +25,8 @@ modes, so no branch overflows or divides by zero on another mode's values:
 * series, largest root modulus below 1: sum z^i/(i+k)! with the powers
   z^i = R + eps*y*e from the recurrence (R, e) -> (R*x + w*e, e*x + R);
 * per-root difference, real roots with y > |x|/3: r and s from
-  ``scalar_phi`` at the two well-separated roots x +- y;
+  ``scalar_phi`` at the two well-separated roots, x - y and the slow root
+  x + y = t*a/(m - n) (Vieta; m <= 0, so x + y itself would cancel);
 * recurrence, otherwise: from exp(t*G), whose (r, s/t) are
   e^x*(cosh y, sinh(y)/y), e^x*(cos y, sin(y)/y) or e^x*(1, 1), apply
   phi_j = (t*G)^{-1} (phi_{j-1} - I/(j-1)!), which divides only by
@@ -62,12 +65,17 @@ SERIES_RTOL = 1e-18
 
 @dataclass(frozen=True)
 class ModeParams:
-    """Eigenvalues, root parameters (m, n) and case sigma of a set of modes."""
+    """Eigenvalues, root parameters (m, n), case sigma and a = alpha*lam + delta of a set of modes.
+
+    a equals m^2 - sigma*n^2, but that difference cancels for strongly
+    overdamped modes, b^2 >> 4a, so a is kept as computed.
+    """
 
     lam: np.ndarray
     m: np.ndarray
     n: np.ndarray
     case: np.ndarray
+    a: np.ndarray
 
 
 def classify_mode(lam, alpha: float, beta: float, gamma: float, delta: float) -> ModeParams:
@@ -83,7 +91,7 @@ def classify_mode(lam, alpha: float, beta: float, gamma: float, delta: float) ->
     scale = np.maximum(np.maximum(1.0, b * b), 4.0 * np.abs(a))
     case = np.where(np.abs(disc) > DISC_TOL * scale, np.sign(disc), DOUBLE_ROOT)
     n = np.where(case != DOUBLE_ROOT, 0.5 * np.sqrt(np.abs(disc)), 0.0)
-    return ModeParams(lam, -0.5 * b, n, case)
+    return ModeParams(lam, -0.5 * b, n, case, a)
 
 
 def scalar_phi(k: int, z):
@@ -95,11 +103,11 @@ def scalar_phi(k: int, z):
         raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX}")
     z = np.asarray(z, dtype=float)
     zero = np.zeros(z.size)
-    r, _ = _phi_rs(k, 1.0, z.ravel(), zero, zero)
+    r, _ = _phi_rs(k, 1.0, z.ravel(), zero, zero, zero)
     return r.reshape(z.shape)[()]
 
 
-def _phi_rs(k: int, t: float, m: np.ndarray, n: np.ndarray, sigma: np.ndarray):
+def _phi_rs(k: int, t: float, m: np.ndarray, n: np.ndarray, sigma: np.ndarray, a: np.ndarray):
     """(r, s) of phi_k(t*G) = r*I + s*H on flat arrays of modes."""
     x, y = t * m, t * n
     w = sigma * y * y
@@ -123,8 +131,10 @@ def _phi_rs(k: int, t: float, m: np.ndarray, n: np.ndarray, sigma: np.ndarray):
         r[series], s[series] = rs, t * qs
 
     if per_root.any():
+        # m <= 0, so the slow root x + y cancels; Vieta gives it as t*a/(m - n)
         xp, yp = x[per_root], y[per_root]
-        fp, fm = scalar_phi(k, xp + yp), scalar_phi(k, xp - yp)
+        slow = t * a[per_root] / (m[per_root] - n[per_root])
+        fp, fm = scalar_phi(k, slow), scalar_phi(k, xp - yp)
         r[per_root], s[per_root] = 0.5 * (fp + fm), 0.5 * (fp - fm) / n[per_root]
 
     if rec.any():
@@ -157,7 +167,6 @@ def phi_block(k: int, t: float, modes: ModeParams) -> np.ndarray:
         raise PhiOrderError(f"phi order {k} outside supported range 0..{K_MAX}")
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    m, n, sigma = (np.asarray(f, dtype=float) for f in (modes.m, modes.n, modes.case))
-    r, s = (v.reshape(m.shape) for v in _phi_rs(k, t, m.ravel(), n.ravel(), sigma.ravel()))
-    a = m * m - sigma * n * n
+    m, n, sigma, a = (np.asarray(f, dtype=float) for f in (modes.m, modes.n, modes.case, modes.a))
+    r, s = (v.reshape(m.shape) for v in _phi_rs(k, t, m.ravel(), n.ravel(), sigma.ravel(), a.ravel()))
     return np.array([[r - m * s, s], [-a * s, r + m * s]])

@@ -212,8 +212,8 @@ def apply_undamped_reference(prop: BlockPropagator, t: float, v: StateVector) ->
 
 
 def mode_matrix(p: ModeParams) -> np.ndarray:
-    """The blocks G, shape (2, 2) + m.shape, with a = m^2 - sigma*n^2."""
-    a = p.m * p.m - p.case * p.n * p.n
+    """The blocks G = [[0, 1], [-a, 2m]], shape (2, 2) + m.shape."""
+    a = p.a
     return np.array([[np.zeros_like(a), np.ones_like(a)], [-a, 2.0 * p.m]])
 
 

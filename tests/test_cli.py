@@ -376,8 +376,12 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
         # 64-bit user address space, so the allocation fails whatever the
         # host's overcommit setting
         ({"preset": "wave1", "N": 10_000_000}, ("n = 10000000", "4e+14 bytes")),
+        # huge coefficients at a plain ell: the coefficients are named, not ell
+        ({"preset": "wave1", "N": 10, "alpha": 1e308}, ("alpha = 1e+308", "delta", "n = 10")),
+        ({"preset": "wave1", "N": 10, "beta": 1e200}, ("beta = 1e+200", "gamma", "n = 10")),
+        ({"preset": "beam1", "N": 10, "gamma": 1e200}, ("gamma = 1e+200", "beta", "n = 10")),
     ],
-    ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge"],
+    ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge", "alpha-huge", "beta-huge", "gamma-huge"],
 )
 def test_set_up_error_names_its_inputs(tmp_path, capsys, config, words):
     path = write_config(tmp_path, {**config, "M": [4], "scheme": "EI-E1"})

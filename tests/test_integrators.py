@@ -262,40 +262,50 @@ class TestSolve:
 
     def test_phi_evaluation_counting_k4(self):
         # EI-K4 needs 7 block tables: (c=1/2: k=0,1,2) + (c=1: k=0,1,2,3),
-        # all built in step one; 8 actions per step thereafter, since stages
-        # 2 and 3 share exp and phi_1 at c=1/2, and stage 4 and the update
-        # share them at c=1 (12 unshared)
+        # all built in step one; 5 applies per step thereafter: one
+        # combination (exp and phi_1) per node for its base, which stages 2
+        # and 3 share at c=1/2 and stage 4 and the update share at c=1, and
+        # one combination of the D-terms in each of stages 3, 4 and the update
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res.stats.phi_evals == 7
-        assert res.stats.phi_applies == 8 * 3
+        assert res.stats.phi_applies == 5 * 3
         # same step size again: every (tau, c, k) table is a cache hit
         res2 = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res2.stats.phi_evals == 0
-        assert res2.stats.phi_applies == 8 * 3
+        assert res2.stats.phi_applies == 5 * 3
         # at half the step size, c=1 reuses the c=1/2 tables of k=0,1,2
         # (same c*tau), so only c=1/2 (k=0,1,2) and c=1 (k=3) are new
         res3 = solve(prop, build_tableau("EI-K4"), spec, 6)
         assert res3.stats.phi_evals == 4
 
     @pytest.mark.parametrize(
-        "name,c2,applies",
-        [("EI-E1", None, 2), ("EI-SW21", 0.75, 5), ("EI-SW21", 1.0, 3), ("EI-SW22", 0.75, 5),
-         ("EI-SW22", 1.0, 3), ("EI-K4", None, 8), ("EI-SW4", None, 8)],
+        "name,c2,terms,applies",
+        [pytest.param(name, c2, terms, applies, id=f"{name}-{c2}-{terms}")
+         for name, c2, terms, applies in [
+             ("EI-E1", None, 2, 1), ("EI-SW21", 0.75, 5, 3), ("EI-SW21", 1.0, 3, 2),
+             ("EI-SW22", 0.75, 5, 3), ("EI-SW22", 1.0, 3, 2), ("EI-K4", None, 8, 5),
+             ("EI-SW4", None, 8, 5)]],
     )
-    def test_phi_applies_per_step(self, name, c2, applies):
-        # each distinct node among c_2..c_s and 1 costs two applies for its
-        # base (exp and phi_1), and each row one more per order k it has on
-        # the D_j, j >= 2; at c2 = 1 stage 2 and the update share one base
+    def test_phi_applies_per_step(self, name, c2, terms, applies, monkeypatch):
+        # each distinct node among c_2..c_s and 1 costs one apply for its
+        # base (exp and phi_1 in one combination), and each row with D_j,
+        # j >= 2, one more for all its orders k; at c2 = 1 stage 2 and the
+        # update share one base. Every phi-term is still one table lookup:
+        # terms, the id's third field, counts them per step.
         spec, op, prop = damped_wave_setup(g="sin")
+        lookups = []
+        table = prop.table
+        monkeypatch.setattr(prop, "table", lambda k, t: lookups.append(k) or table(k, t))
         res = solve(prop, build_tableau(name, c2), spec, 4)
         assert res.stats.phi_applies == applies * 4
+        assert len(lookups) == terms * 4
 
     def test_phi_evaluation_counting_e1(self):
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau("EI-E1"), spec, 5)
         assert res.stats.phi_evals == 2  # exp and phi_1 at the full step
-        assert res.stats.phi_applies == 2 * 5
+        assert res.stats.phi_applies == 1 * 5  # both in one combination apply
         assert res.stats.steps == 5
 
 

@@ -1,6 +1,7 @@
 """Closed-form 2x2 mode functions against hand values and the dense oracle."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ def modes():
 
 def stacked(mode_list):
     """One ModeParams holding every mode of mode_list, in order."""
-    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(p, f)) for p in mode_list])
-                        for f in ("lam", "m", "n", "case")))
+    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(p, f.name)) for p in mode_list])
+                        for f in fields(ModeParams)))
 
 
 class TestClassify:

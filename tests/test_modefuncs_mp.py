@@ -1,14 +1,21 @@
-"""phi_k of one mode block against a 40-digit matrix exponential.
+"""phi_k of one mode block against mpmath references.
 
-The reference shares no algorithm with ``phi_block``: mpmath exponentiates
-the augmented (k+1)-block matrix [[tG, I, 0..], [0, 0, I, ..], .., [0..]],
-whose top-right 2x2 block is phi_k(tG). G comes from ``mode_matrix``, so the
-sweep measures the evaluation of the classified block, not the DISC_TOL snap.
-Each drawn mode is evaluated inside one array with fixed companion modes of
-every case and scale, so a regime mask that leaks between modes shows up.
+The main sweep's reference shares no algorithm with ``phi_block``: mpmath
+exponentiates the augmented (k+1)-block matrix [[tG, I, 0..], [0, 0, I, ..],
+.., [0..]], whose top-right 2x2 block is phi_k(tG). G comes from
+``mode_matrix``, so the sweep measures the evaluation of the classified
+block, not the DISC_TOL snap. Each drawn mode is evaluated inside one array
+with fixed companion modes of every case and scale, so a regime mask that
+leaks between modes shows up.
+
+The stiff band covers strongly overdamped modes, b^2/4a up to 1e5 with
+|t*m| up to 1e7, where ``mp.expm`` is slow. Its reference is the eigenvalue
+(Sylvester) form at 50 digits, built from the mode's inputs alpha*lam + delta
+and beta*lam + gamma, so it sees a cancellation in either the block or G.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -32,8 +39,8 @@ COMPANIONS = [
 
 def with_companions(p):
     """p as the last mode of one array after every companion mode."""
-    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(q, f)) for q in COMPANIONS + [p]])
-                        for f in ("lam", "m", "n", "case")))
+    return ModeParams(*(np.concatenate([np.atleast_1d(getattr(q, f.name)) for q in COMPANIONS + [p]])
+                        for f in fields(ModeParams)))
 
 
 def reference(k: int, t: float, g: np.ndarray) -> np.ndarray:
@@ -94,3 +101,59 @@ def test_phi_block_matches_mp_expm(case):
     got = phi_block(k, t, with_companions(p))[:, :, -1]
     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert err <= RTOL, f"{p.case} m={p.m!r} n={p.n!r} t={t!r} k={k}: {err:.2e}"
+
+
+STIFF_RTOL = 1e-13
+
+
+def mp_phi(k: int, z):
+    """phi_k(z) in the working precision: the series below |z| = 1, else the closed form."""
+    if abs(z) < 1:
+        return mp.nsum(lambda i: z**i / mp.factorial(i + k), [0, mp.inf])
+    return (mp.exp(z) - sum(z**i / mp.factorial(i) for i in range(k))) / z**k
+
+
+def sylvester(k: int, t: float, a, b) -> np.ndarray:
+    """phi_k(tG), G = [[0, 1], [-a, -b]], from its two distinct eigenvalues."""
+    g = mp.matrix([[0, 1], [-a, -b]])
+    root = mp.sqrt(b * b - 4 * a)
+    l1, l2 = (-b + root) / 2, (-b - root) / 2
+    eye = mp.eye(2)
+    out = (mp_phi(k, t * l1) * (g - l2 * eye) - mp_phi(k, t * l2) * (g - l1 * eye)) / (l1 - l2)
+    return np.array([[float(out[i, j]) for j in range(2)] for i in range(2)])
+
+
+@st.composite
+def stiff_mode_and_time(draw):
+    """(inputs, t, k) of a real-distinct mode with b^2/4a in 10..1e5.
+
+    t puts the slow root t*a/b at |.| <= 30, where the block is well
+    conditioned in a and b, and |t*m| in 1..1e7.
+    """
+    lam = draw(log_uniform(1.0, 1e17))
+    alpha = draw(log_uniform(1e-2, 1e2))
+    delta = draw(st.just(0.0) | log_uniform(1e-2, 1e2))
+    a = alpha * lam + delta
+    ratio = draw(log_uniform(10.0, 1e5))
+    b = 2.0 * math.sqrt(a * ratio)
+    split = draw(st.floats(0.0, 1.0))
+    beta, gamma = split * b / lam, (1.0 - split) * b
+    slow = draw(log_uniform(1e-4, 30.0))  # |t*a/b|
+    tm = min(max(slow * b * b / (2.0 * a), 1.0), 1e7)  # |t*m| = |t*b/2|
+    return (lam, alpha, beta, gamma, delta), tm / (0.5 * b), draw(st.integers(0, 4))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@hypothesis.given(stiff_mode_and_time())
+def test_stiff_overdamped_block_matches_sylvester(case):
+    (lam, alpha, beta, gamma, delta), t, k = case
+    p = classify_mode(lam, alpha, beta, gamma, delta)
+    assert p.case == REAL_DISTINCT
+    with mp.workdps(50):
+        mlam = mp.mpf(lam)
+        want = sylvester(k, mp.mpf(t), mp.mpf(alpha) * mlam + mp.mpf(delta),
+                         mp.mpf(beta) * mlam + mp.mpf(gamma))
+    got = phi_block(k, t, with_companions(p))[:, :, -1]
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    ratio = p.m**2 / (alpha * lam + delta)
+    assert err <= STIFF_RTOL, f"lam={lam!r} t={t!r} k={k} b^2/4a={ratio:.3g}: {err:.2e}"

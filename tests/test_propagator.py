@@ -240,3 +240,33 @@ def test_source_half_matches_stacked_source(n):
             prop.apply_stacked(0, 0.03, np.zeros(bad))
     with pytest.raises(DimensionMismatchError):
         prop.apply_stacked(0, 0.03, np.zeros((2, n)))
+
+
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 601])
+def test_combination_equals_sum_of_one_term_applies(n):
+    # one apply of sum_i phi_{k_i}(tA) y_i: every input row through one
+    # product with Q, mixed and summed in mode space, one product back
+    op = build_wave_operator(n, 1.0)
+    prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
+    rng = np.random.default_rng(n)
+    inputs = [rng.standard_normal(2 * n), rng.standard_normal(n), rng.standard_normal(n),
+              rng.standard_normal(2 * n), rng.standard_normal(n)]
+    for ks, ys in [((0, 1), inputs[:2]), ((0, 1, 2, 3, 4), inputs), ((2, 3), inputs[1:3]),
+                   ((4, 0, 4), inputs[2:5]), ((3,), inputs[3:4])]:
+        applies = prop.applies
+        got = prop.apply_stacked(ks, 0.03, tuple(ys))
+        assert prop.applies == applies + 1
+        want = sum(prop.apply_stacked(k, 0.03, y) for k, y in zip(ks, ys))
+        assert got.shape == (2 * n,)
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-14, f"k={ks}: {err:.2e}"
+
+
+def test_combination_rejects_mismatched_inputs():
+    n = 12
+    prop = build_propagator(build_wave_operator(n, 1.0), ProblemSpec(alpha=1.0))
+    y, f = np.zeros(2 * n), np.zeros(n)
+    for k, ys in [((0, 1), (y,)), ((0,), (y, f)), ((), ()), ((0, 1), y), ((0, 1), [y, f]),
+                  ((0, 1), (y, np.zeros(n + 1))), ((0, 1), (np.zeros((2, n)), f))]:
+        with pytest.raises(DimensionMismatchError):
+            prop.apply_stacked(k, 0.03, ys)
