@@ -16,13 +16,15 @@ Ostermann, SIAM J. Numer. Anal. 43, 2005), with D_j = F(Y_j) - F(y_n):
 
     Y_i = exp(c_i tau A) y_n + c_i tau phi_1(c_i tau A) F(y_n) + tau * sum_{j>=2} a_ij D_j,
 
-and y_next alike at c = 1 with the b_i. The first two terms, the base of
-node c_i, are computed once per distinct node and step, as one combination
-apply ``apply_stacked((0, 1), c_i tau, (y_n, c_i tau F(y_n)))``. Each row
-with D-terms makes one more, ``apply_stacked(orders, c_i tau, terms)`` with
-one weighted sum tau * sum_j w_j D_j per order (Hochbruck & Ostermann, Acta
-Numerica 19, 2010, write the schemes in this form), and adds it to the
-row's shared base. An EI-K4 or EI-SW4 step makes 5 applies.
+and y_next alike at c = 1 with the b_i. Every row at node c_i shares the
+first two terms, the node's base, so each stage and the update make one
+combination apply (Hochbruck & Ostermann, Acta Numerica 19, 2010, write the
+schemes in this form). The first row at a node computes its base and its
+D-terms together, ``apply_stacked((0, 1, *orders), c_i tau, (y_n, c_i tau
+F(y_n), *terms))`` with one weighted sum tau * sum_j w_j D_j per order. A
+later row at the same node continues the previous one: it adds to that row
+the apply of the difference between its D-weights and the previous row's,
+and a zero difference makes no apply.
 
 F comes as its w-half f, an (n,) array with F = (0, f), as
 ``forcing_from_spec`` returns it, so every phi_k term but the exp of a
@@ -33,6 +35,7 @@ weights are fixed once per solve, and all steps run under one np.errstate.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -167,44 +170,68 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _group_row(combos, tau: float) -> tuple:
-    """(orders, weights) of a row's D-terms, over its columns j >= 2.
+def _plan_rows(tableau: SchemeTableau, tau: float) -> list:
+    """(c, c*tau, first, orders, weights) per stage 2..s, then the update.
 
-    weights[o, j - 2] is tau times the weight of phi_{orders[o]} on D_j;
-    column 1 is in the base.
+    Column 1 of every row is in its node's base. ``first`` marks the first
+    row at its node c, whose orders start with the base's (0, 1). A later
+    row at c holds the difference between its D-weights and those of the
+    previous row at c. weights[o, j - 2] is tau times the weight of
+    phi_{orders[o]} on D_j, over the D_j the row can see; orders whose
+    weights all vanish are left out.
     """
-    orders = sorted({k for combo in combos[1:] for k, _ in combo})
-    weights = np.zeros((len(orders), len(combos) - 1))
-    for j, combo in enumerate(combos[1:]):
-        for k, w in combo:
-            weights[orders.index(k), j] += tau * w
-    return tuple(orders), weights
+    plan, last = [], {}
+    rows = [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]
+    for i, (c, combos) in enumerate(rows):
+        weights = {}  # (k, j): weight of phi_k on D_j, over columns j >= 2
+        for j, combo in enumerate(combos[1:], start=2):
+            for k, w in combo:
+                weights[k, j] = weights.get((k, j), 0.0) + w
+        first, prev = c not in last, last.get(c, {})
+        last[c] = weights
+        delta = {key: weights.get(key, 0.0) - prev.get(key, 0.0) for key in weights | prev}
+        delta = {key: w for key, w in delta.items() if w != 0.0}
+        orders = sorted({k for k, _ in delta})
+        mat = np.zeros((len(orders), i))
+        for (k, j), w in delta.items():
+            mat[orders.index(k), j - 2] = tau * w
+        plan.append((c, c * tau, first, (0, 1, *orders) if first else tuple(orders), mat))
+    return plan
 
 
-def _step_stacked(prop, nodes, rows, forcing, y):
-    """One step from y.
+def _step_stacked(prop, rows, forcing, y):
+    """One step from y, one apply per row of ``rows`` (see ``_plan_rows``).
 
-    ``nodes`` holds (c, c*tau) once per distinct node, ``rows`` holds
-    (c, c*tau, orders, weights) per stage and the update. Each node's base
-    is one combination apply, and so are each row's D-terms, one weighted
-    sum of the D_j per order. Runs under the caller's np.errstate. No
-    array ``forcing`` returns is written to, so it may return one constant
-    array on every call; but F(y) is held through the step, so it may not
-    refill one buffer on each call.
+    The first row at a node is its base and its D-terms in one combination
+    apply; a later row adds the apply of its weight difference to the
+    previous row at that node. Runs under the caller's np.errstate. No array
+    ``forcing`` returns is written to, so it may return one constant array
+    on every call; but F(y) is held through the step, so it may not refill
+    one buffer on each call.
     """
     f0 = forcing(y)
-    base = {c: prop.apply_stacked((0, 1), t, (y, t * f0)) for c, t in nodes}
+    last = {}  # node -> the previous row there, never written to
     diffs = np.empty((len(rows) - 1, f0.size))  # D_j = F(Y_j) - F(y) of stages 2..s
-    for i, (c, t, orders, weights) in enumerate(rows):
-        yi = base[c]
-        if orders:
-            yi = yi + prop.apply_stacked(orders, t, tuple(weights @ diffs[:i]))
+    for i, (c, t, first, orders, weights) in enumerate(rows):
+        terms = tuple(weights @ diffs[:i]) if weights.size else ()
+        if first:
+            yi = prop.apply_stacked(orders, t, (y, t * f0, *terms))
+        elif orders:
+            yi = last[c] + prop.apply_stacked(orders, t, terms)
+        else:
+            yi = last[c]
+        last[c] = yi
         if not np.isfinite(yi).all():
             where = f"stage {i + 2}" if i < len(diffs) else "the step update"
             raise InstabilityError(f"non-finite values in {where}")
         if i < len(diffs):
             np.subtract(forcing(yi), f0, out=diffs[i])
     return yi
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
 
 
 def solve(
@@ -217,31 +244,31 @@ def solve(
 ) -> SolveResult:
     """M constant steps of size T/M from the sampled initial data to T.
 
+    With ``snapshot_every`` = K the state is also kept after every K-th
+    step. M and K must be positive integers; anything else is a ConfigError.
     ``forcing`` maps the stacked (2n,) state to the source F(y): either its
     w-half alone, an (n,) array for F = (0, f), as ``forcing_from_spec``
     returns, or the full stacked (2n,) F. An array it returns must keep its
     values through the step: ``forcing`` may not refill one buffer.
     """
-    if M < 1:
-        raise ConfigError(f"step count must be positive, got {M}")
+    _check_count("step count M", M)
+    if snapshot_every is not None:
+        _check_count("snapshot_every", snapshot_every)
     tau = spec.T / M
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
-    # stages 2..s, then the update at node 1, each with its time c*tau
-    rows = [(c, c * tau, *_group_row(combos, tau))
-            for c, combos in [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]]
-    nodes = list(dict.fromkeys((c, t) for c, t, _, _ in rows))
+    rows = _plan_rows(tableau, tau)
 
     built0, applies0 = prop.tables_built, prop.applies
-    snapshots = [] if snapshot_every else None
+    snapshots = [] if snapshot_every is not None else None
     start = time.perf_counter()
     # blow-ups surface as InstabilityError, so numpy's own overflow
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
             try:
-                y = _step_stacked(prop, nodes, rows, forcing, y)
+                y = _step_stacked(prop, rows, forcing, y)
             except InstabilityError as exc:
                 raise InstabilityError(
                     f"{tableau.name} unstable at step {i + 1} of {M} "

@@ -15,6 +15,7 @@ from wavebeam.discretize import (
     initial_state,
     nonlinearity,
 )
+from wavebeam.eigen import N_FOLD, SpectralFactorization
 from wavebeam.errors import ConfigError, InstabilityError, UnknownSchemeError
 from wavebeam.integrators import (
     build_tableau,
@@ -186,14 +187,27 @@ def unshared_step(prop, tab, spec, tau, y0):
     return stage(1.0, tab.b, f_stages)
 
 
+STEP_SCHEMES = [("EI-E1", None)] + [
+    (name, c2) for name in ("EI-SW21", "EI-SW22") for c2 in (0.5, 0.75, 1.0)
+] + [("EI-K4", None), ("EI-SW4", None)]
+
+
+# (n, h, id suffix): the n = 12 cases keep the bare name-c2 ids
+STEP_SIZES = [(12, "zero", ""), (200, "zero", "-n200-dense"), (N_FOLD + 1, "zero", "-folded"),
+              (12, "neg_signed_square", "-n12-h")]
+
+
 @pytest.mark.parametrize(
-    "name,c2",
-    [("EI-E1", None), ("EI-SW21", 0.75), ("EI-SW21", 1.0), ("EI-SW22", 0.75), ("EI-SW22", 1.0),
-     ("EI-K4", None), ("EI-SW4", None)],
+    "name,c2,n,h",
+    [pytest.param(name, c2, n, h, id=f"{name}-{c2}{suffix}")
+     for n, h, suffix in STEP_SIZES for name, c2 in STEP_SCHEMES],
 )
-def test_step_matches_unshared_evaluation(name, c2):
-    # a shared term that was later modified in place would show up here
-    spec, op, prop = damped_wave_setup(n=12, g="sin")
+def test_step_matches_unshared_evaluation(name, c2, n, h):
+    # a shared term that was later modified in place, or a row that
+    # continued the wrong one, would show up here; with h nonzero the
+    # sources depend on w as well as u
+    spec, op, prop = damped_wave_setup(n=n, g="sin")
+    spec = dataclasses.replace(spec, h=h)
     y0 = initial_state(spec, op.n)
     tab = build_tableau(name, c2)
     tau = 0.23
@@ -262,18 +276,19 @@ class TestSolve:
 
     def test_phi_evaluation_counting_k4(self):
         # EI-K4 needs 7 block tables: (c=1/2: k=0,1,2) + (c=1: k=0,1,2,3),
-        # all built in step one; 5 applies per step thereafter: one
-        # combination (exp and phi_1) per node for its base, which stages 2
-        # and 3 share at c=1/2 and stage 4 and the update share at c=1, and
-        # one combination of the D-terms in each of stages 3, 4 and the update
+        # all built in step one; 4 applies per step thereafter, one per
+        # stage and the update: stage 2 is the c=1/2 base (exp and phi_1 in
+        # one combination) and stage 3 adds its D-terms to stage 2; stage 4
+        # is the c=1 base and its D-terms in one combination, and the update
+        # adds its weight difference to stage 4
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res.stats.phi_evals == 7
-        assert res.stats.phi_applies == 5 * 3
+        assert res.stats.phi_applies == 4 * 3
         # same step size again: every (tau, c, k) table is a cache hit
         res2 = solve(prop, build_tableau("EI-K4"), spec, 3)
         assert res2.stats.phi_evals == 0
-        assert res2.stats.phi_applies == 5 * 3
+        assert res2.stats.phi_applies == 4 * 3
         # at half the step size, c=1 reuses the c=1/2 tables of k=0,1,2
         # (same c*tau), so only c=1/2 (k=0,1,2) and c=1 (k=3) are new
         res3 = solve(prop, build_tableau("EI-K4"), spec, 6)
@@ -283,16 +298,16 @@ class TestSolve:
         "name,c2,terms,applies",
         [pytest.param(name, c2, terms, applies, id=f"{name}-{c2}-{terms}")
          for name, c2, terms, applies in [
-             ("EI-E1", None, 2, 1), ("EI-SW21", 0.75, 5, 3), ("EI-SW21", 1.0, 3, 2),
-             ("EI-SW22", 0.75, 5, 3), ("EI-SW22", 1.0, 3, 2), ("EI-K4", None, 8, 5),
-             ("EI-SW4", None, 8, 5)]],
+             ("EI-E1", None, 2, 1), ("EI-SW21", 0.75, 5, 2), ("EI-SW21", 1.0, 3, 2),
+             ("EI-SW22", 0.75, 5, 2), ("EI-SW22", 1.0, 3, 2), ("EI-K4", None, 8, 4),
+             ("EI-SW4", None, 8, 4)]],
     )
     def test_phi_applies_per_step(self, name, c2, terms, applies, monkeypatch):
-        # each distinct node among c_2..c_s and 1 costs one apply for its
-        # base (exp and phi_1 in one combination), and each row with D_j,
-        # j >= 2, one more for all its orders k; at c2 = 1 stage 2 and the
-        # update share one base. Every phi-term is still one table lookup:
-        # terms, the id's third field, counts them per step.
+        # one apply per stage 2..s and one for the update: the first row at
+        # a node computes the node's base (exp and phi_1) and its D-terms
+        # together, a later row at that node continues the previous one. At
+        # c2 = 1 the update continues stage 2. Every phi-term is still one
+        # table lookup: terms, the id's third field, counts them per step.
         spec, op, prop = damped_wave_setup(g="sin")
         lookups = []
         table = prop.table
@@ -301,12 +316,50 @@ class TestSolve:
         assert res.stats.phi_applies == applies * 4
         assert len(lookups) == terms * 4
 
+    @pytest.mark.parametrize("name,c2", STEP_SCHEMES)
+    def test_transform_rows_per_apply(self, name, c2, monkeypatch):
+        # each apply is one product in and one out; more than 4 rows in
+        # would hit the small-row GEMM cliff (5 and 6 rows took 3x the time
+        # of 4 through the fold at n = 600), and the sum goes back as 2 rows
+        spec, op, prop = damped_wave_setup(g="sin")
+        rows = []
+        transform = SpectralFactorization.transform
+
+        def counted(fact, x):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return transform(fact, x)
+
+        monkeypatch.setattr(SpectralFactorization, "transform", counted)
+        tab = build_tableau(name, c2)
+        res = solve(prop, tab, spec, 2)
+        assert res.stats.phi_applies == tab.s * 2
+        assert len(rows) == 2 * res.stats.phi_applies
+        assert max(rows[0::2]) <= 4
+        assert rows[1::2] == [2] * res.stats.phi_applies
+
     def test_phi_evaluation_counting_e1(self):
         spec, op, prop = damped_wave_setup(g="sin")
         res = solve(prop, build_tableau("EI-E1"), spec, 5)
         assert res.stats.phi_evals == 2  # exp and phi_1 at the full step
-        assert res.stats.phi_applies == 1 * 5  # both in one combination apply
+        # the update is the first row at node 1: the base alone, one apply
+        assert res.stats.phi_applies == 1 * 5
         assert res.stats.steps == 5
+
+    @pytest.mark.parametrize(
+        "M,every",
+        [(10, -2), (10, 2.5), (10, 0), (True, None), (2.5, None), (0, None), (10, True)],
+        ids=["every-negative", "every-fraction", "every-zero", "M-bool", "M-fraction",
+             "M-zero", "every-bool"],
+    )
+    def test_counts_must_be_positive_integers(self, M, every):
+        spec, op, prop = damped_wave_setup(g="sin")
+        with pytest.raises(ConfigError, match="must be a positive integer"):
+            solve(prop, build_tableau("EI-E1"), spec, M, snapshot_every=every)
+
+    def test_numpy_integer_counts_accepted(self):
+        spec, op, prop = damped_wave_setup(g="sin")
+        res = solve(prop, build_tableau("EI-E1"), spec, np.int64(4), snapshot_every=np.int64(2))
+        assert [t for t, _ in res.snapshots] == [spec.T / 2, spec.T]
 
 
 class TestRK4Baseline:
