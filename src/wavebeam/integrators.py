@@ -35,6 +35,7 @@ weights are fixed once per solve, and all steps run under one np.errstate.
 
 from __future__ import annotations
 
+import math
 import numbers
 import time
 from dataclasses import dataclass, replace
@@ -199,12 +200,14 @@ def _plan_rows(tableau: SchemeTableau, tau: float) -> list:
     return plan
 
 
-def _step_stacked(prop, rows, forcing, y):
+def _step_stacked(prop, rows, forcing, y, zeros):
     """One step from y, one apply per row of ``rows`` (see ``_plan_rows``).
 
     The first row at a node is its base and its D-terms in one combination
     apply; a later row adds the apply of its weight difference to the
-    previous row at that node. Runs under the caller's np.errstate. No array
+    previous row at that node. Each row is checked by its dot with
+    ``zeros``, a zero vector of y's size, which is NaN exactly when the row
+    holds an inf or a NaN. Runs under the caller's np.errstate. No array
     ``forcing`` returns is written to, so it may return one constant array
     on every call; but F(y) is held through the step, so it may not refill
     one buffer on each call.
@@ -221,7 +224,7 @@ def _step_stacked(prop, rows, forcing, y):
         else:
             yi = last[c]
         last[c] = yi
-        if not np.isfinite(yi).all():
+        if math.isnan(yi @ zeros):
             where = f"stage {i + 2}" if i < len(diffs) else "the step update"
             raise InstabilityError(f"non-finite values in {where}")
         if i < len(diffs):
@@ -259,6 +262,7 @@ def solve(
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
     rows = _plan_rows(tableau, tau)
+    zeros = np.zeros_like(y)
 
     built0, applies0 = prop.tables_built, prop.applies
     snapshots = [] if snapshot_every is not None else None
@@ -268,7 +272,7 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
             try:
-                y = _step_stacked(prop, rows, forcing, y)
+                y = _step_stacked(prop, rows, forcing, y, zeros)
             except InstabilityError as exc:
                 raise InstabilityError(
                     f"{tableau.name} unstable at step {i + 1} of {M} "

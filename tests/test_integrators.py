@@ -24,6 +24,7 @@ from wavebeam.integrators import (
     solve,
 )
 from wavebeam.oracles import dense_phi, rk4_baseline_solve, rk4_step
+from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator
 
 ALL_SCHEMES = [("EI-E1", None), ("EI-SW21", 0.6), ("EI-SW22", 0.6), ("EI-K4", None), ("EI-SW4", None)]
@@ -164,6 +165,31 @@ class TestStep:
             solve(prop, build_tableau("EI-E1"), spec, 10)
         assert exc_info.value.step is not None
         assert exc_info.value.time is not None
+
+    @pytest.mark.parametrize(
+        "name,call,where",
+        [("EI-SW4", 10, "stage 3"), ("EI-E1", 3, "the step update")],
+    )
+    def test_infinite_stage_without_nan_is_unstable(self, name, call, where, monkeypatch):
+        # a +inf entry with no NaN next to it must still stop the solve:
+        # EI-SW4 makes 4 applies per step, so its 10th is step 3's stage 3
+        # (a later row at node 1/2, the previous row plus this apply)
+        spec, op, prop = damped_wave_setup(g="sin")
+        apply_stacked, calls = prop.apply_stacked, []
+
+        def blown(k, t, y):
+            out = apply_stacked(k, t, y)
+            calls.append(k)
+            if len(calls) == call:
+                out[3] = np.inf
+            return out
+
+        monkeypatch.setattr(prop, "apply_stacked", blown)
+        M = 8
+        with pytest.raises(InstabilityError, match=where) as exc_info:
+            solve(prop, build_tableau(name), spec, M)
+        assert exc_info.value.step == 3
+        assert exc_info.value.time == pytest.approx(3 * spec.T / M)
 
 
 def unshared_step(prop, tab, spec, tau, y0):
@@ -336,6 +362,28 @@ class TestSolve:
         assert len(rows) == 2 * res.stats.phi_applies
         assert max(rows[0::2]) <= 4
         assert rows[1::2] == [2] * res.stats.phi_applies
+
+    @pytest.mark.parametrize("n,g", [(300, None), (601, "zero")], ids=["dense300", "fold601"])
+    @pytest.mark.parametrize("name", [name for name, _ in ALL_SCHEMES])
+    def test_no_subnormal_reaches_transform(self, name, n, g, monkeypatch):
+        # beam1's overdamped high modes decay below the smallest normal
+        # double at tau = 5/256; the tables floor them, so neither the state
+        # nor a mixed spectral sum carries a subnormal into a product with Q
+        spec = load_preset("beam1").spec
+        spec = dataclasses.replace(spec, T=5.0 * 8 / 256, g=g or spec.g)
+        prop = build_propagator(build_beam_operator(n, spec.ell), spec)
+        tiny = np.finfo(float).tiny
+        subnormal = []
+        transform = SpectralFactorization.transform
+
+        def checked(fact, x):
+            subnormal.append(int(np.count_nonzero((x != 0) & (np.abs(x) < tiny))))
+            return transform(fact, x)
+
+        monkeypatch.setattr(SpectralFactorization, "transform", checked)
+        solve(prop, build_tableau(name, 0.5), spec, 8)
+        assert len(subnormal) == 2 * prop.applies
+        assert sum(subnormal) == 0
 
     def test_phi_evaluation_counting_e1(self):
         spec, op, prop = damped_wave_setup(g="sin")

@@ -6,10 +6,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from wavebeam.discretize import build_beam_operator
+from wavebeam.eigen import factorize
 from wavebeam.errors import PhiOrderError
 from wavebeam.modefuncs import (
     COMPLEX_PAIR,
     DOUBLE_ROOT,
+    FLOOR,
     REAL_DISTINCT,
     ModeParams,
     classify_mode,
@@ -227,3 +230,34 @@ def test_tiny_t_on_stiff_complex_mode(k, t):
     want = dense_phi(k, t * mode_matrix(p))
     got = phi_block(k, t, p)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestFloor:
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_beam_tables_hold_no_entry_below_floor(self, n):
+        # beam1's coefficients: the overdamped high modes decay into gradual
+        # underflow, and every entry that would be subnormal is returned as 0
+        lam = factorize(build_beam_operator(n, 1.0)).lam
+        p = classify_mode(lam, 15.0, 3e-6, 3e-4, 10.0)
+        for t in (1e-4, 0.01, 0.3):
+            for k in range(5):
+                blk = phi_block(k, t, p)
+                assert np.all((blk == 0) | (np.abs(blk) >= FLOOR)), f"k={k} t={t}"
+
+    @staticmethod
+    def critically_damped_exp(power):
+        # m = -1, a = 1: exp(t*G) = e^-t * [[1 + t, t], [-t, 1 - t]] with
+        # e^-t = 2^-power, so its largest entry is below 2^(9 - power)
+        p = classify_mode(1.0, 1.0, 0.0, 2.0, 0.0)
+        assert p.case == DOUBLE_ROOT and p.m == -1.0
+        t = power * math.log(2.0)
+        return t, phi_block(0, t, p)
+
+    def test_double_root_exp_block_above_floor_is_kept(self):
+        t, got = self.critically_damped_exp(500)
+        want = math.exp(-t) * np.array([[1.0 + t, t], [-t, 1.0 - t]])
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+    def test_double_root_exp_block_below_floor_is_zero(self):
+        _, got = self.critically_damped_exp(520)
+        assert not got.any()
