@@ -26,7 +26,6 @@ from .integrators import (
     SolveResult,
     SolveStats,
     build_tableau,
-    merged_damping_solve,
     solve,
 )
 from .modefuncs import (
@@ -47,6 +46,7 @@ from .oracles import (
     dense_expm,
     dense_phi,
     discrete_l2_error,
+    merged_damping_solve,
     mode_matrix,
     observed_order,
     rk4_baseline_solve,

@@ -22,7 +22,7 @@ from .discretize import Profile, ProblemSpec, build_operator, grid_points
 from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
 from .modefuncs import CASE_NAMES
-from .oracles import block_oracle_suite, discrete_l2_error, observed_order
+from .oracles import ASSEMBLE_MAX_N, block_oracle_suite, discrete_l2_error, observed_order
 from .presets import load_preset
 from .propagator import build_propagator
 
@@ -290,8 +290,8 @@ def cmd_modes(cfg: RunConfig) -> int:
 def cmd_oracle_check(cfg: RunConfig) -> int:
     sizes = (cfg.N,) if cfg.n_from_flag else (4, 8, 16)
     for n in sizes:
-        if n > 64:
-            raise OracleScaleError(f"oracle check capped at n = 64, got {n}")
+        if n > ASSEMBLE_MAX_N:
+            raise OracleScaleError(f"oracle check capped at n = {ASSEMBLE_MAX_N}, got {n}")
     rows, cases_seen = block_oracle_suite(sizes=sizes)
     worst: dict[tuple, float] = {}
     for kind, regime, n, _t, _k, err in rows:

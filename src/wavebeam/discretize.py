@@ -11,13 +11,15 @@ Two symmetric operators are provided:
 * beam: fourth-difference approximation of d^4/dx^4 under hinged-hinged
   boundary conditions, pentadiagonal with corner diagonal entries 5/dx^4,
   interior diagonal 6/dx^4, and off-diagonals -4/dx^4, 1/dx^4.
+
+The engine reaches S only through its spectrum (``eigen.factorize``);
+``oracles.stencil`` builds S itself, for the comparators.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +37,7 @@ BEAM = "beam"
 
 @dataclass(frozen=True)
 class GridOperator:
-    """Symmetric banded spatial operator, fully determined by (kind, n, ell).
-
-    ``stencil`` builds S once, on first use, as a sparse banded matrix; the
-    dense n-by-n ``entries`` are made from it only on request, for the
-    oracles. ``eigen.factorize`` works from (kind, n, ell) alone.
-    """
+    """Symmetric banded spatial operator, fully determined by (kind, n, ell); holds no matrix."""
 
     kind: str
     n: int
@@ -60,27 +57,6 @@ class GridOperator:
     @property
     def dx(self) -> float:
         return self.ell / (self.n + 1)
-
-    @cached_property
-    def stencil(self):
-        """Sparse S as a scipy CSR matrix; see the module docstring for its entries."""
-        # imported here: the solve path never needs S itself, so never loads scipy
-        import scipy.sparse as sp
-
-        n, dx = self.n, self.dx
-        if self.kind == WAVE:
-            c = 1.0 / (dx * dx)
-            return sp.diags([2.0 * c, -c, -c], [0, 1, -1], shape=(n, n), format="csr")
-        c = 1.0 / dx**4
-        diag = np.full(n, 6.0 * c)
-        diag[0] = diag[-1] = 5.0 * c
-        return sp.diags([diag, -4.0 * c, -4.0 * c, c, c], [0, 1, -1, 2, -2], shape=(n, n),
-                        format="csr")
-
-    @property
-    def entries(self) -> np.ndarray:
-        """Dense S, the same floats as ``stencil``."""
-        return self.stencil.toarray()
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ class SpectralFactorization:
 def _allocate(n: int, what: str, *shapes) -> list:
     try:
         return [np.empty(shape) for shape in shapes]
-    except MemoryError:
+    except (MemoryError, ValueError):  # numpy raises ValueError above 2^63 bytes
         nbytes = 8 * sum(rows * cols for rows, cols in shapes)
         raise InvalidDimensionError(
             f"n = {n} needs {what} of {nbytes:.3g} bytes, more than can be allocated"
@@ -97,8 +97,8 @@ def _gather(n: int, rows: np.ndarray, cols: np.ndarray, out: np.ndarray) -> None
 
 
 def _dst_matrix(n: int) -> np.ndarray:
-    j = np.arange(1, n + 1)
     (q,) = _allocate(n, f"a dense {n} x {n} eigenvector matrix", (n, n))
+    j = np.arange(1, n + 1)
     _gather(n, j, j, q)
     # q is exactly symmetric, so its transpose is the same matrix; as that
     # free Fortran-ordered view, the (2, n) @ q products of ``transform`` run
@@ -109,14 +109,15 @@ def _dst_matrix(n: int) -> np.ndarray:
 def factorize(op: GridOperator) -> SpectralFactorization:
     """S = Q diag(lam) Q' from the operator's kind, n and ell alone."""
     n = op.n
-    j = np.arange(1, n + 1)
     dense, fold = None, ()
     if n < N_FOLD:
         dense = _dst_matrix(n)
     else:
-        # gathered transposed, so that A and B are Fortran-ordered views as Q is
         h = (n + 1) // 2
         odd, even = _allocate(n, "two half-size sine blocks", (h, h), (h, n // 2))
+    j = np.arange(1, n + 1)  # made after the guarded n^2 allocation: a huge n ends there
+    if dense is None:
+        # gathered transposed, so that A and B are Fortran-ordered views as Q is
         _gather(n, j[:h], j[0::2], odd)
         _gather(n, j[:h], j[1::2], even)
         fold = (odd.T, even.T)

@@ -38,13 +38,13 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridOperator, ProblemSpec, StateVector, forcing_from_spec, initial_state
+from .discretize import ProblemSpec, StateVector, forcing_from_spec, initial_state
 from .errors import ConfigError, InstabilityError, UnknownSchemeError
-from .propagator import BlockPropagator, build_propagator
+from .propagator import BlockPropagator
 
 SCHEME_NAMES = ("EI-E1", "EI-SW21", "EI-SW22", "EI-K4", "EI-SW4")
 
@@ -99,8 +99,8 @@ def _check_tableau(tab: SchemeTableau) -> None:
 def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     """Coefficient table for one of the five schemes.
 
-    EI-SW21 and EI-SW22 take their free node c2 in (0, 1]; the other
-    schemes ignore it.
+    EI-SW21 and EI-SW22 take their free node c2 in (0, 1], with 1/c2
+    finite; the other schemes ignore it.
     """
     key = name.upper()
     if not key.startswith("EI-"):
@@ -110,8 +110,9 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     if key in ("EI-SW21", "EI-SW22"):
         if c2 is None:
             raise ConfigError(f"{key} requires the free node c2")
-        if not 0.0 < c2 <= 1.0:
-            raise ConfigError(f"{key} needs c2 in (0, 1], got {c2}")
+        # a subnormal c2 passes the range check, but its weights 1/c2 overflow
+        if not (0.0 < c2 <= 1.0 and math.isfinite(1.0 / float(c2))):
+            raise ConfigError(f"{key} needs c2 in (0, 1] with a finite 1/c2, got {c2}")
 
     if key == "EI-E1":
         tab = SchemeTableau(key, 1, (0.0,), ((),), (((1, 1.0),),))
@@ -292,31 +293,3 @@ def solve(
         wall_time=wall,
     )
     return SolveResult(StateVector.from_stacked(y), snapshots, stats)
-
-
-def merged_damping_solve(
-    op: GridOperator,
-    spec: ProblemSpec,
-    tableau: SchemeTableau,
-    M: int,
-    fact=None,
-) -> SolveResult:
-    """Solve with the damping terms folded into the nonlinearity.
-
-    The linear part keeps only [[0, I], [-alpha*S - delta*I, 0]] (the
-    cosine/sine propagator), while F gains -beta*S*w - gamma*w. This is the
-    comparison variant; it loses accuracy for damped waves and goes unstable
-    for the stiff beam operator at step sizes the full propagator handles.
-    """
-    lin_spec = replace(spec, beta=0.0, gamma=0.0)
-    prop = build_propagator(op, lin_spec, fact=fact)
-    nonlinear = forcing_from_spec(spec, op.n)
-    s_mat = op.stencil
-    beta, gamma = spec.beta, spec.gamma
-    n = op.n
-
-    def forcing(y: np.ndarray) -> np.ndarray:
-        w = y[n:]
-        return nonlinear(y) - beta * (s_mat @ w) - gamma * w
-
-    return solve(prop, tableau, lin_spec, M, forcing=forcing)

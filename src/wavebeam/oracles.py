@@ -7,16 +7,21 @@ embedding for phi_k) are capped at small sizes to keep tests fast;
 ``phi_action`` applies the same embedding to the sparse system matrix through
 ``scipy.sparse.linalg.expm_multiply`` and needs no factorization, so it
 reaches sizes the dense ones cannot.
+
+Only this module forms S (``stencil``) and A as explicit matrices. scipy is
+imported inside the functions that need it, so importing the package loads none.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from .discretize import (
+    WAVE,
     GridOperator,
     ProblemSpec,
     StateVector,
@@ -32,7 +37,7 @@ from .errors import (
     InsufficientPointsError,
     OracleScaleError,
 )
-from .integrators import SolveResult, SolveStats
+from .integrators import SchemeTableau, SolveResult, SolveStats, solve
 from .modefuncs import CASE_NAMES, ModeParams
 from .propagator import BlockPropagator, build_propagator
 
@@ -44,13 +49,28 @@ _EXPM_TAYLOR_TOL = 1e-20
 _EXPM_SCALE_TARGET = 0.5
 
 
+def stencil(op: GridOperator):
+    """S itself as a scipy CSR matrix, with the entries the ``discretize`` docstring lists."""
+    import scipy.sparse as sp
+
+    n, dx = op.n, op.dx
+    if op.kind == WAVE:
+        c = 1.0 / (dx * dx)
+        return sp.diags([2.0 * c, -c, -c], [0, 1, -1], shape=(n, n), format="csr")
+    c = 1.0 / dx**4
+    diag = np.full(n, 6.0 * c)
+    diag[0] = diag[-1] = 5.0 * c
+    return sp.diags([diag, -4.0 * c, -4.0 * c, c, c], [0, 1, -1, 2, -2], shape=(n, n),
+                    format="csr")
+
+
 def assemble_dense_A(op: GridOperator, spec: ProblemSpec) -> np.ndarray:
     """Explicit 2n-by-2n matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]]."""
     n = op.n
     if n > ASSEMBLE_MAX_N:
         raise OracleScaleError(f"dense assembly capped at n = {ASSEMBLE_MAX_N}, got {n}")
     eye = np.eye(n)
-    s_mat = op.entries
+    s_mat = stencil(op).toarray()
     top = np.hstack([np.zeros((n, n)), eye])
     bottom = np.hstack(
         [-spec.alpha * s_mat - spec.delta * eye, -spec.beta * s_mat - spec.gamma * eye]
@@ -122,9 +142,10 @@ def assemble_sparse_A(op: GridOperator, spec: ProblemSpec):
     """Sparse 2n-by-2n system matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]], scipy CSR."""
     import scipy.sparse as sp
 
+    s_mat = stencil(op)
     eye = sp.identity(op.n, format="csr")
-    lower_left = -spec.alpha * op.stencil - spec.delta * eye
-    lower_right = -spec.beta * op.stencil - spec.gamma * eye
+    lower_left = -spec.alpha * s_mat - spec.delta * eye
+    lower_right = -spec.beta * s_mat - spec.gamma * eye
     return sp.bmat([[None, eye], [lower_left, lower_right]], format="csr")
 
 
@@ -156,6 +177,34 @@ def rk4_baseline_solve(op: GridOperator, spec: ProblemSpec, M: int) -> SolveResu
     wall = time.perf_counter() - start
     stats = SolveStats(steps=M, phi_evals=0, phi_applies=0, wall_time=wall)
     return SolveResult(StateVector.from_stacked(y), None, stats)
+
+
+def merged_damping_solve(
+    op: GridOperator,
+    spec: ProblemSpec,
+    tableau: SchemeTableau,
+    M: int,
+    fact=None,
+) -> SolveResult:
+    """Solve with the damping terms folded into the nonlinearity.
+
+    The linear part keeps only [[0, I], [-alpha*S - delta*I, 0]] (the
+    cosine/sine propagator), while F gains -beta*S*w - gamma*w. This is the
+    comparison variant; it loses accuracy for damped waves and goes unstable
+    for the stiff beam operator at step sizes the full propagator handles.
+    """
+    lin_spec = replace(spec, beta=0.0, gamma=0.0)
+    prop = build_propagator(op, lin_spec, fact=fact)
+    nonlinear = forcing_from_spec(spec, op.n)
+    s_mat = stencil(op)
+    beta, gamma = spec.beta, spec.gamma
+    n = op.n
+
+    def forcing(y: np.ndarray) -> np.ndarray:
+        w = y[n:]
+        return nonlinear(y) - beta * (s_mat @ w) - gamma * w
+
+    return solve(prop, tableau, lin_spec, M, forcing=forcing)
 
 
 def phi_action(op: GridOperator, spec: ProblemSpec, k: int, t: float, v: np.ndarray) -> np.ndarray:

@@ -23,7 +23,8 @@ import numpy as np
 
 from wavebeam.cli import main
 from wavebeam.discretize import build_operator
-from wavebeam.integrators import build_tableau, merged_damping_solve, solve
+from wavebeam.integrators import build_tableau, solve
+from wavebeam.oracles import merged_damping_solve
 from wavebeam.presets import PRESETS
 from wavebeam.propagator import build_propagator
 

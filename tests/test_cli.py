@@ -344,13 +344,19 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "out": ["a.csv"]}),
         (["solve"], {"preset": "wave1", "ell": 1e-300, "N": 20, "M": [4], "scheme": "EI-E1"}),
         (["solve"], {"preset": "beam1", "ell": 1e-40, "N": 20, "M": [4], "scheme": "EI-E1"}),
+        # a subnormal c2 passes (0, 1], but the weights 1/c2 overflow
+        (SMALL_SOLVE[:-2] + ["--scheme", "EI-SW21", "--c2", "1e-320", "--M", "4"], None),
+        (SMALL_SOLVE[:-2] + ["--scheme", "EI-SW22", "--c2", "1e-320", "--M", "4"], None),
+        (CONVERGE, {**LINEAR_CONFIG, "scheme": "EI-E1", "ref_scheme": "EI-SW21",
+                    "ref_c2": 1e-320}),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
          "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
          "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list",
-         "ell-tiny-wave", "ell-tiny-beam"],
+         "ell-tiny-wave", "ell-tiny-beam", "c2-subnormal-sw21", "c2-subnormal-sw22",
+         "ref-c2-subnormal"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:
@@ -376,12 +382,16 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
         # 64-bit user address space, so the allocation fails whatever the
         # host's overcommit setting
         ({"preset": "wave1", "N": 10_000_000}, ("n = 10000000", "4e+14 bytes")),
+        # above 2^63 bytes numpy raises ValueError, not MemoryError; the n^2
+        # allocation is the first one, so no O(n) array fails before it
+        ({"preset": "wave1", "N": 10**14}, ("n = 100000000000000", "4e+28 bytes")),
         # huge coefficients at a plain ell: the coefficients are named, not ell
         ({"preset": "wave1", "N": 10, "alpha": 1e308}, ("alpha = 1e+308", "delta", "n = 10")),
         ({"preset": "wave1", "N": 10, "beta": 1e200}, ("beta = 1e+200", "gamma", "n = 10")),
         ({"preset": "beam1", "N": 10, "gamma": 1e200}, ("gamma = 1e+200", "beta", "n = 10")),
     ],
-    ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge", "alpha-huge", "beta-huge", "gamma-huge"],
+    ids=["ell-tiny-wave", "ell-tiny-beam", "N-huge", "N-above-int64-bytes", "alpha-huge",
+         "beta-huge", "gamma-huge"],
 )
 def test_set_up_error_names_its_inputs(tmp_path, capsys, config, words):
     path = write_config(tmp_path, {**config, "M": [4], "scheme": "EI-E1"})

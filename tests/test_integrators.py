@@ -17,13 +17,8 @@ from wavebeam.discretize import (
 )
 from wavebeam.eigen import N_FOLD, SpectralFactorization
 from wavebeam.errors import ConfigError, InstabilityError, UnknownSchemeError
-from wavebeam.integrators import (
-    build_tableau,
-    combine_combos,
-    merged_damping_solve,
-    solve,
-)
-from wavebeam.oracles import dense_phi, rk4_baseline_solve, rk4_step
+from wavebeam.integrators import build_tableau, combine_combos, solve
+from wavebeam.oracles import dense_phi, merged_damping_solve, rk4_baseline_solve, rk4_step, stencil
 from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator
 
@@ -149,7 +144,8 @@ class TestStep:
         assert y0.u[0] == 2.0 and y0.w[0] == 0.0
         tau = 0.3
         got = one_step(prop, build_tableau("EI-E1"), spec, tau).stacked()
-        g_mat = np.array([[0.0, 1.0], [-op.entries[0, 0], -0.1 * op.entries[0, 0]]])
+        s00 = stencil(op).toarray()[0, 0]
+        g_mat = np.array([[0.0, 1.0], [-s00, -0.1 * s00]])
         f0 = np.array([0.0, y0.u[0] ** 3])
         want = dense_phi(0, tau * g_mat) @ np.array([2.0, 0.0]) + tau * (
             dense_phi(1, tau * g_mat) @ f0

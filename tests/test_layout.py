@@ -1,5 +1,5 @@
-"""Module layering: the engine modules never reach into the comparators or the presets,
-and the CLI commands that solve never load scipy."""
+"""Module layering: the engine modules never reach into the comparators or the presets
+and never import scipy, and the CLI commands that solve never load scipy."""
 
 import ast
 import os
@@ -33,6 +33,17 @@ def test_engine_module_imports_no_comparator_or_preset(module):
     assert not OFF_LIMITS & set(imported_modules(tree))
 
 
+@pytest.mark.parametrize("module", ENGINE)
+def test_engine_module_imports_no_scipy(module):
+    # ast.walk reaches function bodies, so an import made lazily counts too
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module and not node.level]
+    assert not [name for name in names if name.partition(".")[0] == "scipy"], names
+
+
 SOLVE_PATH_SCRIPT = """
 import sys
 from wavebeam.cli import main
@@ -59,3 +70,12 @@ def test_solve_converge_and_modes_load_no_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]", done.stdout
     assert (tmp_path / "sol_snapshots.csv").exists()
+
+
+def test_explicit_matrices_live_in_oracles_alone():
+    import wavebeam
+    from wavebeam import integrators, oracles
+
+    assert wavebeam.merged_damping_solve is oracles.merged_damping_solve
+    assert not hasattr(integrators, "merged_damping_solve")
+    assert not {"stencil", "entries"} & set(dir(wavebeam.GridOperator))

@@ -15,7 +15,7 @@ from wavebeam.discretize import (
 from wavebeam.eigen import N_FOLD, factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
 from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, classify_mode, phi_block
-from wavebeam.oracles import apply_undamped_reference, assemble_dense_A, dense_phi
+from wavebeam.oracles import apply_undamped_reference, assemble_dense_A, dense_phi, stencil
 from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator, permutation_positions
 
@@ -152,7 +152,7 @@ class TestUndampedReference:
     def test_single_mode_rotation(self):
         # n = 1 with S = [4]: quarter period sends (1, 0) to (0, -2)
         op = build_wave_operator(1, math.sqrt(2.0))
-        assert op.entries[0, 0] == pytest.approx(4.0, rel=1e-15)
+        assert stencil(op).toarray()[0, 0] == pytest.approx(4.0, rel=1e-15)
         prop = build_propagator(op, ProblemSpec(alpha=1.0))
         out = apply_undamped_reference(prop, math.pi / 4, StateVector([1.0], [0.0]))
         assert abs(out.u[0]) < 1e-15
