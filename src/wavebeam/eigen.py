@@ -25,10 +25,10 @@ import numpy as np
 from .discretize import BEAM, GridOperator
 from .errors import InvalidDimensionError
 
-# Measured crossover: from this n on, the fold steps an EI-K4 solve faster
-# than the dense Q does (OpenBLAS, one thread; table in README); below it the
-# two extra products and the fold's O(n) passes cost more than they save.
-N_FOLD = 384
+# Measured crossover: from this n on, the fold steps an EI-K4 solve at least
+# 1.05x faster than the dense Q (OpenBLAS, one thread; table in README); below
+# it the two extra products and the fold's O(n) passes cost about what they save.
+N_FOLD = 320
 
 
 @dataclass(frozen=True)

@@ -20,17 +20,16 @@ and y_next alike at c = 1 with the b_i. Every row at node c_i shares the
 first two terms, the node's base, so each stage and the update make one
 combination apply (Hochbruck & Ostermann, Acta Numerica 19, 2010, write the
 schemes in this form). The first row at a node computes its base and its
-D-terms together, ``apply_stacked((0, 1, *orders), c_i tau, (y_n, c_i tau
-F(y_n), *terms))`` with one weighted sum tau * sum_j w_j D_j per order. A
-later row at the same node continues the previous one: it adds to that row
-the apply of the difference between its D-weights and the previous row's,
-and a zero difference makes no apply.
+D-terms together, ``apply_stacked((0, 1, *orders), c_i tau, rows)`` on the
+rows of y_n, c_i tau F(y_n) and one weighted sum tau * sum_j w_j D_j per
+order. A later row at the same node adds to the previous one the apply of
+the difference of their D-weights; a zero difference makes no apply.
 
 F comes as its w-half f, an (n,) array with F = (0, f), as
-``forcing_from_spec`` returns it, so every phi_k term but the exp of a
-base moves one row in (``BlockPropagator.apply_stacked``); a full stacked
-(2n,) F is accepted too. The nodes, their times c*tau and the tau-scaled
-weights are fixed once per solve, and all steps run under one np.errstate.
+``forcing_from_spec`` returns it, so each of its terms is one input row
+(``BlockPropagator.apply_stacked``); a full stacked (2n,) F is two. The
+nodes, c*tau, the tau-scaled weights and the input rows each row fills in
+place are made once per solve; all steps run under one np.errstate.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import ProblemSpec, StateVector, forcing_from_spec, initial_state
-from .errors import ConfigError, InstabilityError, UnknownSchemeError
+from .errors import ConfigError, DimensionMismatchError, InstabilityError, UnknownSchemeError
 from .propagator import BlockPropagator
 
 SCHEME_NAMES = ("EI-E1", "EI-SW21", "EI-SW22", "EI-K4", "EI-SW4")
@@ -172,15 +171,17 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _plan_rows(tableau: SchemeTableau, tau: float) -> list:
-    """(c, c*tau, first, orders, weights) per stage 2..s, then the update.
+def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> tuple:
+    """The D_j array, then (c, c*tau, first, orders, weights, *buffers) per stage 2..s and update.
 
     Column 1 of every row is in its node's base. ``first`` marks the first
     row at its node c, whose orders start with the base's (0, 1). A later
     row at c holds the difference between its D-weights and those of the
     previous row at c. weights[o, j - 2] is tau times the weight of
     phi_{orders[o]} on D_j, over the D_j the row can see; orders whose
-    weights all vanish are left out.
+    weights all vanish are left out. For an F of ``size``, the buffers are
+    the row's (r, n) inputs and their flat parts: y_in and f_in, which take
+    y and c*tau*F(y) at a node's first row only, and d_in, its D-sums.
     """
     plan, last = [], {}
     rows = [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]
@@ -197,12 +198,16 @@ def _plan_rows(tableau: SchemeTableau, tau: float) -> list:
         mat = np.zeros((len(orders), i))
         for (k, j), w in delta.items():
             mat[orders.index(k), j - 2] = tau * w
-        plan.append((c, c * tau, first, (0, 1, *orders) if first else tuple(orders), mat))
-    return plan
+        head = 2 * n + size if first else 0
+        flat = np.empty(head + len(orders) * size)
+        parts = flat[: 2 * n], flat[2 * n : head], flat[head:].reshape(len(orders), size)
+        orders = (0, 1, *orders) if first else tuple(orders)
+        plan.append((c, c * tau, first, orders, mat, flat.reshape(-1, n), *parts))
+    return np.empty((len(rows) - 1, size)), plan
 
 
-def _step_stacked(prop, rows, forcing, y, zeros):
-    """One step from y, one apply per row of ``rows`` (see ``_plan_rows``).
+def _step_stacked(prop, tableau, tau, plans, forcing, y, zeros):
+    """One step from y, one apply per row of the plan (see ``_plan_rows``).
 
     The first row at a node is its base and its D-terms in one combination
     apply; a later row adds the apply of its weight difference to the
@@ -210,18 +215,28 @@ def _step_stacked(prop, rows, forcing, y, zeros):
     ``zeros``, a zero vector of y's size, which is NaN exactly when the row
     holds an inf or a NaN. Runs under the caller's np.errstate. No array
     ``forcing`` returns is written to, so it may return one constant array
-    on every call; but F(y) is held through the step, so it may not refill
-    one buffer on each call.
+    on every call; but F(y) is held through the step, so it may not refill one.
     """
-    f0 = forcing(y)
+    f0, n = forcing(y), prop.n
+    name = getattr(forcing, "__name__", forcing)
+    plan = plans.get(f0.shape)
+    if plan is None:
+        if f0.shape != (n,) and f0.shape != (2 * n,):
+            raise DimensionMismatchError(
+                f"forcing {name!r} returned shape {f0.shape}, not ({n},) or ({2 * n},)"
+            )
+        plan = plans[f0.shape] = _plan_rows(tableau, tau, n, f0.size)
+    diffs, rows = plan
     last = {}  # node -> the previous row there, never written to
-    diffs = np.empty((len(rows) - 1, f0.size))  # D_j = F(Y_j) - F(y) of stages 2..s
-    for i, (c, t, first, orders, weights) in enumerate(rows):
-        terms = tuple(weights @ diffs[:i]) if weights.size else ()
+    for i, (c, t, first, orders, weights, inputs, y_in, f_in, d_in) in enumerate(rows):
+        if weights.size:
+            np.matmul(weights, diffs[:i], out=d_in)
         if first:
-            yi = prop.apply_stacked(orders, t, (y, t * f0, *terms))
+            y_in[...] = y
+            np.multiply(f0, t, out=f_in)
+            yi = prop.apply_stacked(orders, t, inputs)
         elif orders:
-            yi = last[c] + prop.apply_stacked(orders, t, terms)
+            yi = last[c] + prop.apply_stacked(orders, t, inputs)
         else:
             yi = last[c]
         last[c] = yi
@@ -229,7 +244,12 @@ def _step_stacked(prop, rows, forcing, y, zeros):
             where = f"stage {i + 2}" if i < len(diffs) else "the step update"
             raise InstabilityError(f"non-finite values in {where}")
         if i < len(diffs):
-            np.subtract(forcing(yi), f0, out=diffs[i])
+            fi = forcing(yi)
+            if fi.shape != f0.shape:
+                raise DimensionMismatchError(
+                    f"forcing {name!r} returned shape {fi.shape} at stage {i + 2}, not {f0.shape}"
+                )
+            np.subtract(fi, f0, out=diffs[i])
     return yi
 
 
@@ -262,7 +282,7 @@ def solve(
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
-    rows = _plan_rows(tableau, tau)
+    plans = {}  # F's shape -> its _plan_rows, made on the first step
     zeros = np.zeros_like(y)
 
     built0, applies0 = prop.tables_built, prop.applies
@@ -273,7 +293,7 @@ def solve(
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(M):
             try:
-                y = _step_stacked(prop, rows, forcing, y, zeros)
+                y = _step_stacked(prop, tableau, tau, plans, forcing, y, zeros)
             except InstabilityError as exc:
                 raise InstabilityError(
                     f"{tableau.name} unstable at step {i + 1} of {M} "

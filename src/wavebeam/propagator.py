@@ -28,10 +28,10 @@ A source term of the second-order-in-time equations has a zero u-half, so
 goes in and only the w-column tab[:, 1] of the blocks mixes it.
 
 An exponential RK step needs these actions only as sums sum_i phi_{k_i}(tA) y_i
-at one t, so ``apply_stacked`` also takes a tuple of orders and a tuple of
-inputs and returns the sum in one apply: all the input rows go in through one
-stacked product with Q, each term's rows are mixed by its own table and the
-terms are summed in mode space, and one (2, n) product takes the sum back
+at one t, so ``apply_stacked`` also takes a tuple of orders and the (r, n)
+grid rows of the inputs and returns the sum in one apply: one stacked product
+with Q, one broadcast multiply by the cached (r, 2, n) stack of the rows' table
+columns and one sum over the rows in mode space, and one (2, n) product back
 (Niesen & Wright, ACM TOMS 38, 2012, evaluate such sums in one pass).
 """
 
@@ -56,8 +56,8 @@ def permutation_positions(n: int) -> np.ndarray:
 class BlockPropagator:
     """Engine applying matrix functions of tA to state vectors.
 
-    Each block table is built once, on first use of its (k, t) key. The
-    ``tables_built`` and ``applies`` counters are plain attributes.
+    Block tables and mixing stacks are built once, on first use of their key,
+    in one cache. The ``tables_built`` and ``applies`` counters are plain attributes.
     """
 
     def __init__(self, fact: SpectralFactorization, modes: ModeParams, params):
@@ -87,51 +87,51 @@ class BlockPropagator:
     def apply_stacked(self, k, t: float, y) -> np.ndarray:
         """sum_i phi_{k_i}(t*A) @ y_i on the stacked (u, w) layout, in one apply.
 
-        ``k`` is a tuple of orders and ``y`` a tuple of as many inputs; a
-        scalar k with one array y is the one-term case. Each input is a full
-        (2n,) state or an (n,) w-half, the source (0, y_i). All input rows
-        go to spectral coefficients in one (r, n) product with Q, each
-        term's rows are multiplied by the columns of its own table and
-        summed in mode space, and one (2, n) product takes the sum back: Q
-        (or its folded blocks) is read once in and once out, whatever the
-        number of terms.
+        ``k`` is a tuple of L orders and ``y`` one (r, n) array of grid
+        rows, laid out by r alone: L w-halves (r = L), a full state then
+        w-halves (r = L + 1) or L full states (r = 2L). A tuple y of L (2n,)
+        states or (n,) w-halves, the sources (0, y_i), is stacked into rows,
+        any other mix with its w-halves made full; a scalar k with one array
+        y is the one-term case. All rows go to mode space in one product
+        with Q, are mixed and summed there by the cached (r, 2, n) stack of
+        their table columns, and one (2, n) product takes the sum back.
         """
         n = self.n
-        if not isinstance(k, tuple):
-            k, y = (k,), (y,)
-        elif not (isinstance(y, tuple) and k and len(k) == len(y)):
-            got = f"{len(y)} inputs" if isinstance(y, tuple) else f"a {type(y).__name__}"
-            raise DimensionMismatchError(
-                f"phi orders {k} need a nonempty tuple of as many inputs, got {got}"
-            )
-        for v in y:
-            if v.shape != (2 * n,) and v.shape != (n,):
+        if not (isinstance(k, tuple) and isinstance(y, np.ndarray)):
+            if not isinstance(k, tuple):
+                k, y = (k,), (y,)
+            elif not (isinstance(y, tuple) and k and len(k) == len(y)):
+                got = f"{len(y)} inputs" if isinstance(y, tuple) else f"a {type(y).__name__}"
                 raise DimensionMismatchError(
-                    f"expected stacked length {2 * n} or source length {n}, got {v.shape}"
+                    f"phi orders {k} need a nonempty tuple of as many inputs, got {got}"
                 )
+            for v in y:
+                if v.shape != (2 * n,) and v.shape != (n,):
+                    raise DimensionMismatchError(
+                        f"expected stacked length {2 * n} or source length {n}, got {v.shape}"
+                    )
+            if any(v.size == 2 * n for v in y[1:]) and any(v.size == n for v in y):
+                y = tuple(v if v.size == 2 * n else np.concatenate((np.zeros(n), v)) for v in y)
+            y = (y[0] if len(y) == 1 else np.concatenate(y)).reshape(-1, n)
+        key = (k, float(t), y.shape)
+        mixer = self._tables.get(key)
+        if mixer is None:  # a full input mixes by tab[:, 0], tab[:, 1]; a w-half by tab[:, 1]
+            if y.ndim != 2 or y.shape[1] != n or not k or len(y) - len(k) not in (0, 1, len(k)):
+                raise DimensionMismatchError(
+                    f"phi orders {k} need {len(k)}, {len(k) + 1} or {2 * len(k)} rows "
+                    f"of length {n}, got an array of shape {y.shape}"
+                )
+            cols = []
+            for i, ki in enumerate(k):  # the first len(y) - len(k) inputs are full states
+                tab = self.table(ki, t)
+                cols += (tab[:, 0], tab[:, 1]) if i < len(y) - len(k) else (tab[:, 1],)
+            mixer = self._tables[key] = np.stack(cols)
         transform = self.fact.transform
-        flat = y[0] if len(y) == 1 else np.concatenate(y)
-        if flat.size == n:
-            # a lone row stays a vector: through the fold, a one-row matrix
-            # product takes 2x the time of the same vector product at n = 600
-            spec = transform(flat)[np.newaxis]
-        else:
-            spec = transform(flat.reshape(-1, n))
-        acc, row = None, 0
-        for ki, v in zip(k, y):
-            tab = self.table(ki, t)
-            if v.size == n:  # the source (0, v): only the w-column mixes it
-                term = tab[:, 1] * spec[row]
-            else:  # both columns at once: mix[:, c] = tab[:, c] * spec[row + c]
-                mix = tab * spec[row : row + 2]
-                term = mix[:, 0] + mix[:, 1]
-            row += v.size // n
-            if acc is None:
-                acc = term
-            else:
-                acc += term
+        # a lone row stays a vector: through the fold, a one-row matrix
+        # product takes 2x the time of the same vector product at n = 600
+        spec = transform(y[0])[np.newaxis] if len(y) == 1 else transform(y)
         self.applies += 1
-        return transform(acc).reshape(2 * n)
+        return transform(np.add.reduce(mixer * spec[:, np.newaxis], axis=0)).reshape(2 * n)
 
 
 def build_propagator(

@@ -111,7 +111,7 @@ def test_factorize_allocates_little_beyond_q():
     assert q_peak <= 1.25 * 8 * n * n, f"q read peak {q_peak / (8 * n * n):.2f} x its bytes"
 
 
-@pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 601, 1001])
+@pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 384, 385, 601, 1001])
 def test_folded_transform_is_the_product_with_q(n):
     fact = factorize(build_beam_operator(n, 1.0))
     assert fact.dense is None

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from wavebeam import integrators
 from wavebeam.discretize import (
     ProblemSpec,
     Profile,
@@ -16,7 +17,7 @@ from wavebeam.discretize import (
     nonlinearity,
 )
 from wavebeam.eigen import N_FOLD, SpectralFactorization
-from wavebeam.errors import ConfigError, InstabilityError, UnknownSchemeError
+from wavebeam.errors import ConfigError, DimensionMismatchError, InstabilityError, UnknownSchemeError
 from wavebeam.integrators import build_tableau, combine_combos, solve
 from wavebeam.oracles import dense_phi, merged_damping_solve, rk4_baseline_solve, rk4_step, stencil
 from wavebeam.presets import load_preset
@@ -254,6 +255,25 @@ def test_shared_forcing_array_left_unchanged(name, c2, halves):
     assert np.array_equal(const, kept)
 
 
+@pytest.mark.parametrize("shapes", [[(9,)], [(1, 8)], [(8,), (16,)]], ids=["n+1", "1xn", "flip"])
+def test_forcing_of_wrong_shape_is_named(shapes):
+    # F's shape is checked at the step's start and against that shape at each
+    # stage, before the step fills its input rows with it
+    spec, op, prop = damped_wave_setup(g="zero")
+    assert op.n == 8
+    calls = []
+
+    def forcing(_y):
+        calls.append(None)
+        return np.zeros(shapes[min(len(calls), len(shapes)) - 1])
+
+    with pytest.raises(DimensionMismatchError) as exc:
+        solve(prop, build_tableau("EI-K4"), spec, 2, forcing=forcing)
+    message = str(exc.value)
+    assert message.startswith("forcing 'forcing' returned shape")
+    assert str(shapes[-1]) in message and "(8,)" in message
+
+
 def test_solve_restores_numpy_error_state_after_instability():
     spec = ProblemSpec(alpha=1.0, g="cube", p=Profile("sine", (50.0, math.pi)), T=50.0)
     prop = build_propagator(build_wave_operator(6, spec.ell), spec)
@@ -328,15 +348,23 @@ class TestSolve:
         # one apply per stage 2..s and one for the update: the first row at
         # a node computes the node's base (exp and phi_1) and its D-terms
         # together, a later row at that node continues the previous one. At
-        # c2 = 1 the update continues stage 2. Every phi-term is still one
-        # table lookup: terms, the id's third field, counts them per step.
+        # c2 = 1 the update continues stage 2. Each apply's mixing columns
+        # are gathered once per key, one table lookup per phi-term, all in
+        # the first step: terms, the id's third field, counts them.
         spec, op, prop = damped_wave_setup(g="sin")
-        lookups = []
-        table = prop.table
+        lookups, per_step = [], []
+        table, step = prop.table, integrators._step_stacked
+
+        def counted(*args):
+            y = step(*args)
+            per_step.append(len(lookups))
+            return y
+
         monkeypatch.setattr(prop, "table", lambda k, t: lookups.append(k) or table(k, t))
+        monkeypatch.setattr(integrators, "_step_stacked", counted)
         res = solve(prop, build_tableau(name, c2), spec, 4)
         assert res.stats.phi_applies == applies * 4
-        assert len(lookups) == terms * 4
+        assert per_step == [terms] * 4
 
     @pytest.mark.parametrize("name,c2", STEP_SCHEMES)
     def test_transform_rows_per_apply(self, name, c2, monkeypatch):

@@ -128,6 +128,23 @@ def test_phi_action_matches_block_path_above_dense_cap(preset_id, n, t):
         assert err <= 1e-12, f"k={k}: {err:.2e}"
 
 
+def test_phi_action_matches_combination_apply_at_n4095():
+    # one folded combination apply against three independent sparse phi
+    # actions at wave1's tau = 6/8192, the sources taken as (0, f) and (0, d)
+    preset = load_preset("wave1")
+    n, t = 4095, 6.0 / 8192
+    op = build_operator(preset.kind, n, preset.spec.ell)
+    prop = build_propagator(op, preset.spec)
+    assert prop.fact.dense is None
+    rng = np.random.default_rng(n)
+    v, f, d = rng.standard_normal(2 * n), rng.standard_normal(n), rng.standard_normal(n)
+    got = prop.apply_stacked((0, 1, 2), t, (v, f, d))
+    sources = [np.concatenate((np.zeros(n), s)) for s in (f, d)]
+    want = sum(phi_action(op, preset.spec, k, t, y) for k, y in zip((0, 1, 2), (v, *sources)))
+    err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+    assert err <= 1e-12, f"{err:.2e}"
+
+
 class TestPresets:
     def test_wave1_parameters(self):
         p = load_preset("wave1")

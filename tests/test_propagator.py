@@ -11,9 +11,11 @@ from wavebeam.discretize import (
     StateVector,
     build_beam_operator,
     build_wave_operator,
+    nonlinearity,
 )
 from wavebeam.eigen import N_FOLD, factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
+from wavebeam.integrators import build_tableau, solve
 from wavebeam.modefuncs import COMPLEX_PAIR, REAL_DISTINCT, classify_mode, phi_block
 from wavebeam.oracles import apply_undamped_reference, assemble_dense_A, dense_phi, stencil
 from wavebeam.presets import load_preset
@@ -221,7 +223,7 @@ def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
                 assert err <= 1e-15, f"k={k} t={t} mode {i}: {err:.2e}"
 
 
-@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 601])
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 385, 601])
 def test_source_half_matches_stacked_source(n):
     # an (n,) f is the source (0, f): one row in, the w-column of each block
     op = build_wave_operator(n, 1.0)
@@ -242,7 +244,7 @@ def test_source_half_matches_stacked_source(n):
         prop.apply_stacked(0, 0.03, np.zeros((2, n)))
 
 
-@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 601])
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 385, 601])
 def test_combination_equals_sum_of_one_term_applies(n):
     # one apply of sum_i phi_{k_i}(tA) y_i: every input row through one
     # product with Q, mixed and summed in mode space, one product back
@@ -270,3 +272,53 @@ def test_combination_rejects_mismatched_inputs():
                   ((0, 1), (y, np.zeros(n + 1))), ((0, 1), (np.zeros((2, n)), f))]:
         with pytest.raises(DimensionMismatchError):
             prop.apply_stacked(k, 0.03, ys)
+
+
+STAGE_SCHEMES = [("EI-E1", None), ("EI-SW21", 0.75), ("EI-SW21", 1.0), ("EI-SW22", 0.75),
+                 ("EI-SW22", 1.0), ("EI-K4", None), ("EI-SW4", None)]
+
+
+@pytest.mark.parametrize("n", [50, 401], ids=["dense50", "fold401"])
+def test_rows_form_equals_tuple_form(n, monkeypatch):
+    # a step hands apply_stacked its inputs as (r, n) grid rows, laid out by
+    # r alone; the tuple form stacks the same inputs into the same rows
+    spec = ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2, g="sin",
+                       p=Profile("sine", (1.0, math.pi)), q=Profile("cosine", (0.5, math.pi)),
+                       T=0.05)
+    prop = build_propagator(build_wave_operator(n, 1.0), spec)
+    assert (prop.fact.dense is None) == (n >= N_FOLD)
+    calls, apply = [], prop.apply_stacked
+    monkeypatch.setattr(
+        prop, "apply_stacked", lambda k, t, y: calls.append((k, t, y.copy())) or apply(k, t, y)
+    )
+    g = nonlinearity("sin")
+    for forcing in (None, lambda y: np.concatenate((np.zeros(n), g(y[:n])))):
+        for name, c2 in STAGE_SCHEMES:
+            solve(prop, build_tableau(name, c2), spec, 1, forcing=forcing)
+    layouts = set()
+    for k, t, rows in calls:
+        full = len(rows) - len(k)  # the first `full` inputs are full states
+        ys = tuple(rows[2 * i : 2 * i + 2].ravel() if i < full else rows[full + i]
+                   for i in range(len(k)))
+        got = apply(k, t, rows)
+        assert np.array_equal(got, apply(k, t, ys)), (k, rows.shape)
+        # the reference takes each w-half as the full state (0, y_i)
+        full_ys = [np.concatenate((np.zeros(n), yi)) if yi.size == n else yi for yi in ys]
+        want = sum(apply(ki, t, yi) for ki, yi in zip(k, full_ys))
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= 1e-14, f"k={k}, {rows.shape}: {err:.2e}"
+        layouts.add(full if full < 2 else "2L")
+    assert layouts == {0, 1, "2L"}
+
+
+def test_rows_form_rejects_bad_shapes():
+    n = 12
+    prop = build_propagator(build_wave_operator(n, 1.0), ProblemSpec(alpha=1.0))
+    for k, shape in [((0, 1), (1, n)), ((0, 1), (5, n)), ((0,), (3, n)), ((0, 1, 2), (5, n)),
+                     ((0, 1), (3, n + 1)), ((0, 1), (3, n - 1)), ((0, 1), (2, 2, n)),
+                     ((0, 1), (2 * n,)), ((), (0, n))]:
+        with pytest.raises(DimensionMismatchError):
+            prop.apply_stacked(k, 0.03, np.zeros(shape))
+    prop.apply_stacked((0, 1), 0.03, np.zeros((3, n)))  # cached now, and still checked by shape
+    with pytest.raises(DimensionMismatchError):
+        prop.apply_stacked((0, 1), 0.03, np.zeros((3, n + 1)))
