@@ -249,17 +249,19 @@ def cmd_solve(cfg: RunConfig) -> int:
 def cmd_converge(cfg: RunConfig) -> int:
     if len(cfg.M) < 3:
         raise ConfigError(f"converge needs at least 3 step counts, got {cfg.M}")
+    if len(set(cfg.M)) < len(cfg.M):
+        raise ConfigError(f"converge needs distinct step counts, got {cfg.M}")
     if cfg.M_ref is None:
         raise ConfigError("converge needs a reference step count (--Mref)")
     if cfg.M_ref <= max(cfg.M):
         raise ConfigError(f"M_ref = {cfg.M_ref} must exceed the largest M = {max(cfg.M)}")
-    schemes = cfg.scheme_list()
-    spec, op, prop = _build_problem(cfg)
+    # every tableau first: a bad scheme must not wait for the reference solve
+    tableaus = [build_tableau(name, c2) for name, c2 in cfg.scheme_list()]
     ref_tab = build_tableau(cfg.ref_scheme, cfg.ref_c2)
+    spec, op, prop = _build_problem(cfg)
     y_ref = solve(prop, ref_tab, spec, cfg.M_ref).y_final
     rows = []
-    for name, c2 in schemes:
-        tableau = build_tableau(name, c2)
+    for tableau in tableaus:
         errors = []
         for m_steps in sorted(cfg.M):
             y = solve(prop, tableau, spec, m_steps).y_final

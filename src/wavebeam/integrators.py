@@ -29,7 +29,8 @@ F comes as its w-half f, an (n,) array with F = (0, f), as
 ``forcing_from_spec`` returns it, so each of its terms is one input row
 (``BlockPropagator.apply_stacked``); a full stacked (2n,) F is two. The
 nodes, c*tau, the tau-scaled weights and the input rows each row fills in
-place are made once per solve; all steps run under one np.errstate.
+place are one plan per solve, sized by F(y_0), whose shape every later F must
+keep; all steps run under one np.errstate.
 """
 
 from __future__ import annotations
@@ -206,26 +207,18 @@ def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> tuple:
     return np.empty((len(rows) - 1, size)), plan
 
 
-def _step_stacked(prop, tableau, tau, plans, forcing, y, zeros):
-    """One step from y, one apply per row of the plan (see ``_plan_rows``).
+def _step_stacked(prop, plan, forcing, y, f0, zeros):
+    """One step from y and f0 = F(y), one apply per row of the solve's one plan.
 
     The first row at a node is its base and its D-terms in one combination
     apply; a later row adds the apply of its weight difference to the
-    previous row at that node. Each row is checked by its dot with
+    previous row at that node (see ``_plan_rows``), whose arrays fit f0's
+    shape, as each stage's F must. Each row is checked by its dot with
     ``zeros``, a zero vector of y's size, which is NaN exactly when the row
     holds an inf or a NaN. Runs under the caller's np.errstate. No array
     ``forcing`` returns is written to, so it may return one constant array
     on every call; but F(y) is held through the step, so it may not refill one.
     """
-    f0, n = forcing(y), prop.n
-    name = getattr(forcing, "__name__", forcing)
-    plan = plans.get(f0.shape)
-    if plan is None:
-        if f0.shape != (n,) and f0.shape != (2 * n,):
-            raise DimensionMismatchError(
-                f"forcing {name!r} returned shape {f0.shape}, not ({n},) or ({2 * n},)"
-            )
-        plan = plans[f0.shape] = _plan_rows(tableau, tau, n, f0.size)
     diffs, rows = plan
     last = {}  # node -> the previous row there, never written to
     for i, (c, t, first, orders, weights, inputs, y_in, f_in, d_in) in enumerate(rows):
@@ -244,13 +237,19 @@ def _step_stacked(prop, tableau, tau, plans, forcing, y, zeros):
             where = f"stage {i + 2}" if i < len(diffs) else "the step update"
             raise InstabilityError(f"non-finite values in {where}")
         if i < len(diffs):
-            fi = forcing(yi)
-            if fi.shape != f0.shape:
-                raise DimensionMismatchError(
-                    f"forcing {name!r} returned shape {fi.shape} at stage {i + 2}, not {f0.shape}"
-                )
+            fi = _check_forcing(forcing, forcing(yi), [f0.shape], i + 2)
             np.subtract(fi, f0, out=diffs[i])
     return yi
+
+
+def _check_forcing(forcing, f, shapes, stage):
+    """f, the value of ``forcing`` at ``stage`` of a step, if its shape is in ``shapes``."""
+    if f.shape not in shapes:
+        raise DimensionMismatchError(
+            f"forcing {getattr(forcing, '__name__', forcing)!r} returned shape {f.shape} "
+            f"at stage {stage}, not {' or '.join(map(str, shapes))}"
+        )
+    return f
 
 
 def _check_count(name: str, value) -> None:
@@ -272,8 +271,9 @@ def solve(
     step. M and K must be positive integers; anything else is a ConfigError.
     ``forcing`` maps the stacked (2n,) state to the source F(y): either its
     w-half alone, an (n,) array for F = (0, f), as ``forcing_from_spec``
-    returns, or the full stacked (2n,) F. An array it returns must keep its
-    values through the step: ``forcing`` may not refill one buffer.
+    returns, or the full stacked (2n,) F, in the shape of F(y_0) on every
+    call. An array it returns must keep its values through the step:
+    ``forcing`` may not refill one buffer.
     """
     _check_count("step count M", M)
     if snapshot_every is not None:
@@ -282,7 +282,6 @@ def solve(
     y = initial_state(spec, prop.n).stacked()
     if forcing is None:
         forcing = forcing_from_spec(spec, prop.n)
-    plans = {}  # F's shape -> its _plan_rows, made on the first step
     zeros = np.zeros_like(y)
 
     built0, applies0 = prop.tables_built, prop.applies
@@ -291,9 +290,14 @@ def solve(
     # blow-ups surface as InstabilityError, so numpy's own overflow
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
+        # F(y_0) sizes the one plan of the solve; every later F must match it
+        f = _check_forcing(forcing, forcing(y), [(prop.n,), (2 * prop.n,)], 1)
+        plan = _plan_rows(tableau, tau, prop.n, f.size)
         for i in range(M):
+            if i:
+                f = _check_forcing(forcing, forcing(y), [f.shape], 1)
             try:
-                y = _step_stacked(prop, tableau, tau, plans, forcing, y, zeros)
+                y = _step_stacked(prop, plan, forcing, y, f, zeros)
             except InstabilityError as exc:
                 raise InstabilityError(
                     f"{tableau.name} unstable at step {i + 1} of {M} "

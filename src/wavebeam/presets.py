@@ -22,10 +22,6 @@ class ExperimentPreset:
     m_ref: int
     ref_scheme: str
 
-    @property
-    def T(self) -> float:
-        return self.spec.T
-
 
 def _doubling(start: int, count: int) -> tuple:
     return tuple(start * 2**k for k in range(count))

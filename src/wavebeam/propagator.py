@@ -28,11 +28,12 @@ A source term of the second-order-in-time equations has a zero u-half, so
 goes in and only the w-column tab[:, 1] of the blocks mixes it.
 
 An exponential RK step needs these actions only as sums sum_i phi_{k_i}(tA) y_i
-at one t, so ``apply_stacked`` also takes a tuple of orders and the (r, n)
-grid rows of the inputs and returns the sum in one apply: one stacked product
-with Q, one broadcast multiply by the cached (r, 2, n) stack of the rows' table
-columns and one sum over the rows in mode space, and one (2, n) product back
-(Niesen & Wright, ACM TOMS 38, 2012, evaluate such sums in one pass).
+at one t, so ``apply_stacked`` takes a tuple of orders and the (r, n) grid rows
+of the inputs and returns the sum in one apply: one stacked product with Q, one
+broadcast multiply by the cached (r, 2, n) stack of the rows' table columns and
+one sum over the rows in mode space, and one (2, n) product back (Niesen &
+Wright, ACM TOMS 38, 2012, evaluate such sums in one pass). One order and one
+(2n,) state or (n,) w-half is the same apply on that input's one or two rows.
 """
 
 from __future__ import annotations
@@ -89,30 +90,22 @@ class BlockPropagator:
 
         ``k`` is a tuple of L orders and ``y`` one (r, n) array of grid
         rows, laid out by r alone: L w-halves (r = L), a full state then
-        w-halves (r = L + 1) or L full states (r = 2L). A tuple y of L (2n,)
-        states or (n,) w-halves, the sources (0, y_i), is stacked into rows,
-        any other mix with its w-halves made full; a scalar k with one array
-        y is the one-term case. All rows go to mode space in one product
-        with Q, are mixed and summed there by the cached (r, 2, n) stack of
-        their table columns, and one (2, n) product takes the sum back.
+        w-halves (r = L + 1) or L full states (r = 2L). A scalar k with one
+        (2n,) state or (n,) w-half, the source (0, y), is the one-term case,
+        on y's rows. All rows go to mode space in one product with Q, are
+        mixed and summed there by the cached (r, 2, n) stack of their table
+        columns, and one (2, n) product takes the sum back. A y that is not
+        an array, such as a tuple of inputs, is a DimensionMismatchError.
         """
         n = self.n
-        if not (isinstance(k, tuple) and isinstance(y, np.ndarray)):
-            if not isinstance(k, tuple):
-                k, y = (k,), (y,)
-            elif not (isinstance(y, tuple) and k and len(k) == len(y)):
-                got = f"{len(y)} inputs" if isinstance(y, tuple) else f"a {type(y).__name__}"
+        if not isinstance(y, np.ndarray):
+            raise DimensionMismatchError(f"phi orders {k} need an array, got a {type(y).__name__}")
+        if not isinstance(k, tuple):
+            if y.shape != (2 * n,) and y.shape != (n,):
                 raise DimensionMismatchError(
-                    f"phi orders {k} need a nonempty tuple of as many inputs, got {got}"
+                    f"expected stacked length {2 * n} or source length {n}, got {y.shape}"
                 )
-            for v in y:
-                if v.shape != (2 * n,) and v.shape != (n,):
-                    raise DimensionMismatchError(
-                        f"expected stacked length {2 * n} or source length {n}, got {v.shape}"
-                    )
-            if any(v.size == 2 * n for v in y[1:]) and any(v.size == n for v in y):
-                y = tuple(v if v.size == 2 * n else np.concatenate((np.zeros(n), v)) for v in y)
-            y = (y[0] if len(y) == 1 else np.concatenate(y)).reshape(-1, n)
+            k, y = (k,), y.reshape(-1, n)
         key = (k, float(t), y.shape)
         mixer = self._tables.get(key)
         if mixer is None:  # a full input mixes by tab[:, 0], tab[:, 1]; a w-half by tab[:, 1]

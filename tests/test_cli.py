@@ -170,6 +170,31 @@ class TestConverge:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"M_ref = {m_ref}" in err and "largest M = 32" in err
 
+    @pytest.mark.parametrize("fields,want", [
+        ({"scheme": "EI-SW22"}, "c2"),
+        ({"schemes": ["EI-SW4", "EI-RK9"]}, "'EI-RK9'"),
+        ({"scheme": "EI-K4", "M": [8, 8, 32]}, "distinct step counts"),
+    ], ids=["sw22-without-c2", "unknown-in-schemes", "repeated-m"])
+    def test_schemes_and_m_list_checked_before_the_reference(self, tmp_path, capsys, monkeypatch,
+                                                             fields, want):
+        # at the preset's M_ref a late error wastes a whole reference run, so
+        # every tableau and the M list are checked before the problem is built
+        import wavebeam.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("the problem was built before the scheme and M checks")
+
+        monkeypatch.setattr(cli, "solve", no_run)
+        monkeypatch.setattr(cli, "_build_problem", no_run)
+        out = tmp_path / "x.csv"
+        config = write_config(tmp_path, {"preset": "wave1", "M": [8, 16, 32], "M_ref": 20000,
+                                         **fields})
+        rc = main(["converge", "--config", config, "--out", str(out)])
+        assert rc == 1 and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert want in err, err
+
 
 class TestModes:
     def test_wave1_all_complex(self, tmp_path):

@@ -255,10 +255,13 @@ def test_shared_forcing_array_left_unchanged(name, c2, halves):
     assert np.array_equal(const, kept)
 
 
-@pytest.mark.parametrize("shapes", [[(9,)], [(1, 8)], [(8,), (16,)]], ids=["n+1", "1xn", "flip"])
+@pytest.mark.parametrize("shapes", [[(9,)], [(1, 8)], [(8,), (16,)], [(8,)] * 4 + [(16,)]],
+                         ids=["n+1", "1xn", "flip", "step-flip"])
 def test_forcing_of_wrong_shape_is_named(shapes):
-    # F's shape is checked at the step's start and against that shape at each
-    # stage, before the step fills its input rows with it
+    # F(y_0) fixes the shape of the solve's one plan, and every later F, at a
+    # step's start (step-flip: EI-K4's four calls of step 1 give (8,), step 2
+    # starts with (16,)) or at a stage (flip), is checked against it before
+    # the step fills its input rows with it
     spec, op, prop = damped_wave_setup(g="zero")
     assert op.n == 8
     calls = []

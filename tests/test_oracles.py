@@ -138,7 +138,7 @@ def test_phi_action_matches_combination_apply_at_n4095():
     assert prop.fact.dense is None
     rng = np.random.default_rng(n)
     v, f, d = rng.standard_normal(2 * n), rng.standard_normal(n), rng.standard_normal(n)
-    got = prop.apply_stacked((0, 1, 2), t, (v, f, d))
+    got = prop.apply_stacked((0, 1, 2), t, np.vstack((v.reshape(2, n), f, d)))
     sources = [np.concatenate((np.zeros(n), s)) for s in (f, d)]
     want = sum(phi_action(op, preset.spec, k, t, y) for k, y in zip((0, 1, 2), (v, *sources)))
     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -161,7 +161,7 @@ class TestPresets:
         assert p.spec.g == "neg_five_cube"
         assert p.spec.alpha == 15.0 and p.spec.beta == 3e-6
         assert p.spec.delta == 10.0 and p.spec.gamma == 3e-4
-        assert p.T == 5.0
+        assert p.spec.T == 5.0
 
     def test_wave4_step_profile(self):
         p = load_preset("wave4")
