@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import functools
 import json
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain, repeat
 
 from .discretize import Profile, ProblemSpec, build_operator, grid_points
 from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
@@ -31,6 +33,14 @@ ORACLE_TOL = 1e-10
 
 def _fmt(x) -> str:
     return f"{float(x):.17g}"
+
+
+def _fmt_all(values: list) -> list:
+    """_fmt of each float in values, made by one %-template pass over all of them.
+
+    '%.17g' % x and f"{x:.17g}" write the same bytes for every float.
+    """
+    return ("%.17g\n" * len(values) % tuple(values)).splitlines()
 
 
 SPEC_KEYS = tuple(f.name for f in fields(ProblemSpec))
@@ -199,6 +209,26 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
+def _check_writable(path: str) -> None:
+    """Raise the OutputWriteError that writing path would raise, before any work; create nothing.
+
+    A study can run for hours before its CSV is written, so an output path that
+    cannot be opened for writing must fail when the command starts.
+    """
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(parent, os.W_OK | os.X_OK) or (
+        os.path.exists(path) and not os.access(path, os.W_OK)
+    ):
+        code = errno.EACCES
+    else:
+        return
+    raise OutputWriteError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write_csv(path: str, header, rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
@@ -216,9 +246,14 @@ def _build_problem(cfg: RunConfig):
 
 
 def _state_rows(xs, state, *lead):
-    """CSV rows (*lead, x, u, w) of one state, lazily; xs and lead come formatted."""
-    for xi, ui, wi in zip(xs, state.u.tolist(), state.w.tolist()):
-        yield (*lead, xi, _fmt(ui), _fmt(wi))
+    """CSV rows (*lead, x, u, w) of one state; xs and lead come formatted.
+
+    The state's 2n values are formatted in one pass and the rows are zipped
+    in C, so no Python code runs per row.
+    """
+    n = len(xs)
+    values = _fmt_all(state.stacked().tolist())
+    return zip(*map(repeat, lead), xs, values[:n], values[n:])
 
 
 def cmd_solve(cfg: RunConfig) -> int:
@@ -226,19 +261,22 @@ def cmd_solve(cfg: RunConfig) -> int:
         raise ConfigError(f"solve needs exactly one step count, got M list {cfg.M}")
     name, c2 = cfg.scheme_list()[0]
     tableau = build_tableau(name, c2)
+    out = cfg.out or "solution.csv"
+    snap_path = os.path.splitext(out)[0] + "_snapshots.csv" if cfg.snapshots else None
+    _check_writable(out)
+    if snap_path is not None:
+        _check_writable(snap_path)
     spec, op, prop = _build_problem(cfg)
     m_steps = cfg.M[0]
     result = solve(prop, tableau, spec, m_steps, snapshot_every=cfg.snapshots or None)
-    out = cfg.out or "solution.csv"
-    xs = [_fmt(xi) for xi in grid_points(op.n, spec.ell).tolist()]
-    _write_csv(out, ("x", "u", "w"), _state_rows(xs, result.y_final))
-    if result.snapshots is not None:
-        snap_path = os.path.splitext(out)[0] + "_snapshots.csv"
-        _write_csv(
-            snap_path,
-            ("t", "x", "u", "w"),
-            (row for t, state in result.snapshots for row in _state_rows(xs, state, _fmt(t))),
-        )
+    xs = _fmt_all(grid_points(op.n, spec.ell).tolist())
+    # each state is formatted only when the writer reaches it, inside its
+    # writerows, and one state's strings are alive at a time
+    _write_csv(out, ("x", "u", "w"), chain.from_iterable(
+        _state_rows(xs, state) for state in (result.y_final,)))
+    if snap_path is not None:
+        _write_csv(snap_path, ("t", "x", "u", "w"), chain.from_iterable(
+            _state_rows(xs, state, _fmt(t)) for t, state in result.snapshots))
     print(
         f"scheme={tableau.name} M={m_steps} wall={result.stats.wall_time:.3f}s "
         f"phi_evals={result.stats.phi_evals} out={out}"
@@ -258,6 +296,8 @@ def cmd_converge(cfg: RunConfig) -> int:
     # every tableau first: a bad scheme must not wait for the reference solve
     tableaus = [build_tableau(name, c2) for name, c2 in cfg.scheme_list()]
     ref_tab = build_tableau(cfg.ref_scheme, cfg.ref_c2)
+    out = cfg.out or "convergence.csv"
+    _check_writable(out)
     spec, op, prop = _build_problem(cfg)
     y_ref = solve(prop, ref_tab, spec, cfg.M_ref).y_final
     rows = []
@@ -270,20 +310,19 @@ def cmd_converge(cfg: RunConfig) -> int:
             rows.append((tableau.name, str(m_steps), _fmt(spec.T / m_steps), _fmt(err)))
         order = observed_order(errors)
         print(f"{tableau.name}: observed order {order:.3f}")
-    out = cfg.out or "convergence.csv"
     _write_csv(out, ("scheme", "M", "tau", "l2_error"), rows)
     print(f"wrote {out}")
     return 0
 
 
 def cmd_modes(cfg: RunConfig) -> int:
+    out = cfg.out or "modes.csv"
+    _check_writable(out)
     _, _, prop = _build_problem(cfg)
     p = prop.modes
-    rows = [
-        (str(i), _fmt(lam), _fmt(m), _fmt(n), CASE_NAMES[case])
-        for i, (lam, m, n, case) in enumerate(zip(p.lam, p.m, p.n, p.case), start=1)
-    ]
-    out = cfg.out or "modes.csv"
+    columns = [_fmt_all(col.tolist()) for col in (p.lam, p.m, p.n)]
+    cases = [CASE_NAMES[case] for case in p.case.tolist()]
+    rows = list(zip(map(str, range(1, len(cases) + 1)), *columns, cases))
     _write_csv(out, ("index", "lambda", "m", "n", "case"), rows)
     print(f"wrote {out} ({len(rows)} modes)")
     return 0

@@ -2,6 +2,8 @@
 
 import copy
 import csv
+import dataclasses
+import io
 import json
 import math
 from dataclasses import fields
@@ -9,9 +11,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import wavebeam.cli as cli
 from wavebeam.cli import COMMANDS, FIELDS, RunConfig, build_parser, main, resolve_config
-from wavebeam.discretize import Profile
-from wavebeam.presets import PRESETS
+from wavebeam.discretize import Profile, StateVector, build_operator, grid_points
+from wavebeam.eigen import N_FOLD
+from wavebeam.integrators import build_tableau, solve
+from wavebeam.presets import PRESETS, load_preset
+from wavebeam.propagator import build_propagator
 
 LINEAR_CONFIG = {
     "kind": "wave",
@@ -116,6 +122,53 @@ class TestSolve:
         assert rows[0] == ["t", "x", "u", "w"]
         times = sorted({float(r[0]) for r in rows[1:]})
         assert times[-1] == 0.5 and len(times) == 2
+
+
+def independent_csv(header, rows) -> bytes:
+    """The bytes csv.writer writes for rows of floats, each formatted on its own."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    return buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("preset_id, scheme, n, T, M", [
+    ("wave1", "EI-SW4", 16, 0.5, 6),
+    ("beam1", "EI-K4", N_FOLD + 1, 5.0 * 4 / 256, 4),
+], ids=["wave-16", "beam-fold"])
+def test_solve_csv_bytes_match_an_independent_writer(tmp_path, preset_id, scheme, n, T, M):
+    out = tmp_path / "final.csv"
+    assert main(["solve", "--preset", preset_id, "--scheme", scheme, "--N", str(n),
+                 "--T", repr(T), "--M", str(M), "--snapshots", "2", "--out", str(out)]) == 0
+    preset = load_preset(preset_id)
+    spec = dataclasses.replace(preset.spec, T=T)
+    op = build_operator(preset.kind, n, spec.ell)
+    result = solve(build_propagator(op, spec), build_tableau(scheme), spec, M, snapshot_every=2)
+    xs = grid_points(n, spec.ell).tolist()
+
+    def rows(state, *lead):
+        return [(*lead, x, u, w) for x, u, w in zip(xs, state.u.tolist(), state.w.tolist())]
+
+    assert out.read_bytes() == independent_csv(("x", "u", "w"), rows(result.y_final))
+    assert len(result.snapshots) == M // 2
+    snap_rows = [row for t, state in result.snapshots for row in rows(state, t)]
+    assert (tmp_path / "final_snapshots.csv").read_bytes() == independent_csv(
+        ("t", "x", "u", "w"), snap_rows)
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1e16, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("lead", [(), ("0.25",)], ids=["final", "snapshot"])
+def test_state_rows_write_each_float_as_fmt_does(lead):
+    xs = [f"x{i}" for i in range(len(EDGE_FLOATS))]
+    us, ws = EDGE_FLOATS, EDGE_FLOATS[::-1]
+    state = StateVector(np.array(us), np.array(ws))
+    want = [(*lead, x, f"{u:.17g}", f"{w:.17g}") for x, u, w in zip(xs, us, ws)]
+    assert list(cli._state_rows(xs, state, *lead)) == want
+    assert cli._fmt_all(EDGE_FLOATS) == [cli._fmt(v) for v in EDGE_FLOATS]
+    assert cli._fmt_all([]) == []
 
 
 class TestConverge:
@@ -396,6 +449,52 @@ def test_unwritable_out_is_one_error_line(tmp_path, capsys):
     assert main(SMALL_SOLVE + ["--M", "4", "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_os_error_while_writing_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # a path that passes the early check can still fail to open, e.g. when its
+    # directory goes away during the run
+    monkeypatch.setattr(cli, "_check_writable", lambda path: None)
+    out = tmp_path / "missing-dir" / "x.csv"
+    assert main(SMALL_SOLVE + ["--M", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: No such file or directory\n"
+
+
+HUGE_CONVERGE = ["converge", "--preset", "wave1", "--scheme", "EI-K4",
+                 "--M", "8", "--M", "16", "--M", "32", "--Mref", "100000000"]
+HUGE_SOLVE = ["solve", "--preset", "wave1", "--scheme", "EI-E1", "--M", "100000000"]
+
+
+@pytest.mark.parametrize("args, out_name, bad_name", [
+    (HUGE_CONVERGE, "missing/x.csv", "missing/x.csv"),
+    (HUGE_SOLVE, "missing/x.csv", "missing/x.csv"),
+    (HUGE_SOLVE + ["--snapshots", "4"], "x.csv", "x_snapshots.csv"),
+    (["modes", "--preset", "wave1"], "missing/x.csv", "missing/x.csv"),
+    (HUGE_CONVERGE, "adir", "adir"),
+    (HUGE_SOLVE, "afile/x.csv", "afile/x.csv"),
+], ids=["converge-missing-dir", "solve-missing-dir", "snapshots-path-is-dir",
+        "modes-missing-dir", "converge-out-is-dir", "solve-parent-is-file"])
+def test_unwritable_out_fails_before_any_set_up(tmp_path, capsys, monkeypatch, args, out_name,
+                                                bad_name):
+    # 10^8 steps would run for hours: the output path is checked first, and
+    # neither the problem nor a solve is started
+    def no_run(*args, **kwargs):
+        raise AssertionError("set-up started before the output path was checked")
+
+    monkeypatch.setattr(cli, "solve", no_run)
+    monkeypatch.setattr(cli, "_build_problem", no_run)
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "x_snapshots.csv").mkdir()
+    (tmp_path / "afile").write_text("keep")
+    (tmp_path / "x.csv").write_text("keep")
+    before = sorted(p.name for p in tmp_path.rglob("*"))
+    assert main(args + ["--out", str(tmp_path / out_name)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / bad_name}: ")
+    assert err.count("\n") == 1, err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == before
+    assert (tmp_path / "x.csv").read_text() == "keep" and (tmp_path / "afile").read_text() == "keep"
 
 
 @pytest.mark.parametrize(

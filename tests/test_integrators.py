@@ -19,7 +19,14 @@ from wavebeam.discretize import (
 from wavebeam.eigen import N_FOLD, SpectralFactorization
 from wavebeam.errors import ConfigError, DimensionMismatchError, InstabilityError, UnknownSchemeError
 from wavebeam.integrators import build_tableau, combine_combos, solve
-from wavebeam.oracles import dense_phi, merged_damping_solve, rk4_baseline_solve, rk4_step, stencil
+from wavebeam.oracles import (
+    dense_phi,
+    discrete_l2_error,
+    merged_damping_solve,
+    rk4_baseline_solve,
+    rk4_step,
+    stencil,
+)
 from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator
 
@@ -461,6 +468,40 @@ class TestRK4Baseline:
         with pytest.raises(InstabilityError) as exc_info:
             rk4_baseline_solve(op, spec, 100)
         assert exc_info.value.step is not None
+
+
+class TestStiffnessIndependence:
+    """wave1 physics at T = 1: the exponential scheme's error at a fixed step
+    does not grow with n, while RK4 needs more steps as the spectrum widens."""
+
+    SPEC = dataclasses.replace(load_preset("wave1").spec, T=1.0)
+
+    def reference(self, n):
+        op = build_wave_operator(n, self.SPEC.ell)
+        prop = build_propagator(op, self.SPEC)
+        return op, prop, solve(prop, build_tableau("EI-SW4"), self.SPEC, 2048).y_final
+
+    def rk4_error(self, op, y_ref, m_steps):
+        try:
+            y = rk4_baseline_solve(op, self.SPEC, m_steps).y_final
+        except InstabilityError:
+            return math.inf
+        return discrete_l2_error(y, y_ref, op.dx)
+
+    def test_exponential_error_flat_in_n_while_rk4_needs_more_steps(self):
+        errors, rk4_steps = {}, {}
+        for n in (50, 100, 200):
+            op, prop, y_ref = self.reference(n)
+            y = solve(prop, build_tableau("EI-SW4"), self.SPEC, 32).y_final
+            errors[n] = discrete_l2_error(y, y_ref, op.dx)
+            if n != 100:
+                # the first power-of-2 step count with an error below 1e-2
+                rk4_steps[n] = next(2**k for k in range(16)
+                                    if self.rk4_error(op, y_ref, 2**k) < 1e-2)
+        # about 1.1e-4 at every n; the spread is 12%
+        assert max(errors.values()) <= 1.2 * min(errors.values()), errors
+        # 128 steps at n = 50 and 512 at n = 200
+        assert rk4_steps[200] >= 2 * rk4_steps[50], rk4_steps
 
 
 class TestMergedDamping:
