@@ -3,8 +3,9 @@
 Configuration comes from three layers, each overriding the one before: a
 named preset (``--preset``, or the config file's ``"preset"`` field), the
 config file's own fields, and command-line flags. Each layer is read into a
-dict over the one vocabulary ``FIELDS``; the dicts are merged once into a
-``RunConfig``. All numeric CSV output is written with 17 significant digits
+dict by the parsers of ``FIELDS``, flags as file values; the dicts are
+merged once into a ``RunConfig``. Every bad argument ends in one ``error:``
+line and exit 1. All numeric CSV output is written with 17 significant digits
 so values round-trip exactly.
 """
 
@@ -50,17 +51,8 @@ SPEC_KEYS = tuple(f.name for f in fields(ProblemSpec))
 class RunConfig:
     """Fully resolved run parameters for one CLI invocation, named as in a config file."""
 
+    spec: dict = field(default_factory=dict)  # the ProblemSpec fields some layer set
     kind: str = "wave"
-    alpha: float | None = None
-    beta: float = 0.0
-    gamma: float = 0.0
-    delta: float = 0.0
-    g: str = "zero"
-    h: str = "zero"
-    p: Profile = field(default_factory=lambda: Profile("zero"))
-    q: Profile = field(default_factory=lambda: Profile("zero"))
-    ell: float = 1.0
-    T: float | None = None
     N: int | None = None
     n_from_flag: bool = False
     scheme: str | None = None
@@ -74,12 +66,12 @@ class RunConfig:
     snapshots: int | None = None
 
     def problem_spec(self) -> ProblemSpec:
-        if self.alpha is None:
+        if "alpha" not in self.spec:
             raise ConfigError("alpha is required (set it in the config file or pick a preset)")
-        if self.T is None:
+        if "T" not in self.spec:
             raise ConfigError("final time T is required")
         try:
-            return ProblemSpec(**{key: getattr(self, key) for key in SPEC_KEYS})
+            return ProblemSpec(**self.spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -115,6 +107,8 @@ def _count(key: str, value) -> int:
     num = _number(key, value)
     if not num.is_integer():
         raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+    if num < 1:
+        raise ConfigError(f"config field {key!r} must be at least 1, got {value!r}")
     return int(num)
 
 
@@ -149,8 +143,8 @@ def _schemes(key: str, value) -> list:
 
 
 # The config vocabulary: every config-file key, which is also the argparse
-# dest of its flag, mapped to the parser of its JSON value. Every key but
-# "preset" names a RunConfig field.
+# dest of its flag, mapped to the parser of its JSON value or flag string.
+# Every key but "preset" names a RunConfig field or a key of RunConfig.spec.
 FIELDS = {
     **dict.fromkeys(("preset", "kind", "g", "h", "scheme", "ref_scheme", "out"), _string),
     **dict.fromkeys(("alpha", "beta", "gamma", "delta", "ell", "T", "c2", "ref_c2"), _number),
@@ -175,8 +169,12 @@ def _preset_fields(preset_id: str) -> dict:
     }
 
 
+def _parse_layer(layer: dict) -> dict:
+    """Each value of one layer parsed by its FIELDS entry; a None value leaves its field unset."""
+    return {key: FIELDS[key](key, value) for key, value in layer.items() if value is not None}
+
+
 def _read_config_file(path: str) -> dict:
-    """The file's fields, parsed; a null value leaves its field unset."""
     try:
         with open(path) as fh:
             data = json.load(fh)
@@ -189,24 +187,20 @@ def _read_config_file(path: str) -> dict:
     unknown = sorted(key for key in data if key not in FIELDS)
     if unknown:
         raise ConfigError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
-    return {key: FIELDS[key](key, value) for key, value in data.items() if value is not None}
+    return _parse_layer(data)
 
 
 def resolve_config(args) -> RunConfig:
     """Preset, then config file, then flags, each layer overriding the one before."""
     file = _read_config_file(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if key in FIELDS and value is not None}
+    flags = _parse_layer({key: value for key, value in vars(args).items() if key in FIELDS})
     # the preset names the lowest layer, so it leaves both dicts: --preset first
     preset_id = flags.pop("preset", file.pop("preset", None))
     merged = _preset_fields(preset_id) if preset_id is not None else {}
     merged.update(file)
     merged.update(flags)
-    cfg = RunConfig(**merged, n_from_flag="N" in flags)
-    counts = [("M", m) for m in cfg.M] + [("M_ref", cfg.M_ref), ("snapshots", cfg.snapshots)]
-    for name, value in counts:
-        if value is not None and value < 1:
-            raise ConfigError(f"{name} must be a positive step count, got {value}")
-    return cfg
+    spec = {key: merged.pop(key) for key in SPEC_KEYS if key in merged}
+    return RunConfig(spec=spec, **merged, n_from_flag="N" in flags)
 
 
 def _check_writable(path: str) -> None:
@@ -360,10 +354,17 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are ConfigErrors, so main reports them in one line."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process; parse_args leaves it unchanged."""
-    parser = argparse.ArgumentParser(
+    """The one parser of the process; parse_args leaves it unchanged and flags as strings."""
+    parser = _Parser(
         prog="wavebeam",
         description="Damped wave / beam solver built on exact mode-block matrix functions.",
     )
@@ -378,25 +379,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--preset", metavar="ID", help="named experiment preset")
         p.add_argument("--scheme", metavar="NAME", help="integrator scheme")
-        p.add_argument("--c2", type=float, metavar="X", help="free node for EI-SW21/EI-SW22")
-        p.add_argument(
-            "--M",
-            type=int,
-            action="append",
-            metavar="N",
-            help="step count (repeat for converge)",
-        )
-        p.add_argument("--Mref", dest="M_ref", type=int, metavar="N", help="reference step count")
-        p.add_argument("--N", type=int, metavar="n", help="number of interior grid points")
-        p.add_argument("--T", type=float, metavar="t", help="final time")
+        p.add_argument("--c2", metavar="X", help="free node for EI-SW21/EI-SW22")
+        p.add_argument("--M", action="append", metavar="N", help="step count (repeat for converge)")
+        p.add_argument("--Mref", dest="M_ref", metavar="N", help="reference step count")
+        p.add_argument("--N", metavar="n", help="number of interior grid points")
+        p.add_argument("--T", metavar="t", help="final time")
         p.add_argument("--out", metavar="PATH", help="output CSV path")
-        p.add_argument("--snapshots", type=int, metavar="K", help="snapshot every K steps")
+        p.add_argument("--snapshots", metavar="K", help="snapshot every K steps")
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
         return COMMANDS[args.command](cfg)
     except WaveBeamError as exc:

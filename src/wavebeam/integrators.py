@@ -54,10 +54,14 @@ class SchemeTableau:
     """Stage nodes and symbolic phi-combination coefficients of one scheme."""
 
     name: str
-    s: int
     c: tuple
     a: tuple  # a[i] = row of coefficients for stages j < i
     b: tuple  # one coefficient per stage; each is sum weight*phi_k as ((k, weight), ...)
+
+    @property
+    def s(self) -> int:
+        """Number of stages."""
+        return len(self.c)
 
 
 @dataclass(frozen=True)
@@ -115,11 +119,10 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
             raise ConfigError(f"{key} needs c2 in (0, 1] with a finite 1/c2, got {c2}")
 
     if key == "EI-E1":
-        tab = SchemeTableau(key, 1, (0.0,), ((),), (((1, 1.0),),))
+        tab = SchemeTableau(key, (0.0,), ((),), (((1, 1.0),),))
     elif key == "EI-SW21":
         tab = SchemeTableau(
             key,
-            2,
             (0.0, c2),
             ((), (((1, c2),),)),
             (((1, 1.0), (2, -1.0 / c2)), ((2, 1.0 / c2),)),
@@ -127,7 +130,6 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     elif key == "EI-SW22":
         tab = SchemeTableau(
             key,
-            2,
             (0.0, c2),
             ((), (((1, c2),),)),
             (((1, 1.0 - 0.5 / c2),), ((1, 0.5 / c2),)),
@@ -135,7 +137,6 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     elif key == "EI-K4":
         tab = SchemeTableau(
             key,
-            4,
             (0.0, 0.5, 0.5, 1.0),
             (
                 (),
@@ -153,7 +154,6 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     else:  # EI-SW4
         tab = SchemeTableau(
             key,
-            4,
             (0.0, 0.5, 0.5, 1.0),
             (
                 (),

@@ -13,7 +13,6 @@ from .errors import UnknownPresetError
 class ExperimentPreset:
     """One named experiment: operator kind and size, problem, schemes, step counts."""
 
-    id: str
     kind: str
     n: int
     spec: ProblemSpec
@@ -31,7 +30,6 @@ _PI = math.pi
 
 PRESETS = {
     "wave1": ExperimentPreset(
-        id="wave1",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -51,7 +49,6 @@ PRESETS = {
         ref_scheme="EI-SW4",
     ),
     "wave2": ExperimentPreset(
-        id="wave2",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -77,7 +74,6 @@ PRESETS = {
         ref_scheme="EI-K4",
     ),
     "wave3": ExperimentPreset(
-        id="wave3",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -97,7 +93,6 @@ PRESETS = {
         ref_scheme="EI-SW4",
     ),
     "wave4": ExperimentPreset(
-        id="wave4",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -123,7 +118,6 @@ PRESETS = {
         ref_scheme="EI-SW4",
     ),
     "wave5": ExperimentPreset(
-        id="wave5",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -150,7 +144,6 @@ PRESETS = {
         ref_scheme="EI-SW4",
     ),
     "beam1": ExperimentPreset(
-        id="beam1",
         kind="beam",
         n=300,
         spec=ProblemSpec(
@@ -170,7 +163,6 @@ PRESETS = {
         ref_scheme="EI-K4",
     ),
     "merged-wave": ExperimentPreset(
-        id="merged-wave",
         kind="wave",
         n=200,
         spec=ProblemSpec(
@@ -190,7 +182,6 @@ PRESETS = {
         ref_scheme="EI-K4",
     ),
     "merged-beam": ExperimentPreset(
-        id="merged-beam",
         kind="beam",
         n=300,
         spec=ProblemSpec(

@@ -6,14 +6,14 @@ import dataclasses
 import io
 import json
 import math
-from dataclasses import fields
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
 import wavebeam.cli as cli
-from wavebeam.cli import COMMANDS, FIELDS, RunConfig, build_parser, main, resolve_config
-from wavebeam.discretize import Profile, StateVector, build_operator, grid_points
+from wavebeam.cli import COMMANDS, FIELDS, SPEC_KEYS, RunConfig, build_parser, main, resolve_config
+from wavebeam.discretize import Profile, ProblemSpec, StateVector, build_operator, grid_points
 from wavebeam.eigen import N_FOLD
 from wavebeam.integrators import build_tableau, solve
 from wavebeam.presets import PRESETS, load_preset
@@ -34,8 +34,8 @@ LINEAR_CONFIG = {
     "N": 16,
 }
 
-# every key of the config vocabulary, each away from its RunConfig default and
-# from wave1's value
+# every key of the config vocabulary, each away from its default (RunConfig's,
+# or ProblemSpec's for a spec key) and from wave1's value
 EVERY_KEY = {
     "kind": "beam", "alpha": 3.5, "beta": 0.25, "gamma": 0.125, "delta": 2.0,
     "g": "cube", "h": "abs", "p": {"name": "hat", "params": [2.0]},
@@ -50,6 +50,16 @@ EVERY_FIELD = {
     "q": Profile("cosine", (1.5, 3.0)),
     "schemes": [("EI-SW21", 0.3), ("EI-K4", None)],
 }
+
+
+# ProblemSpec's own defaults; alpha has none
+SPEC_DEFAULTS = {f.name: f.default if f.default_factory is MISSING else f.default_factory()
+                 for f in fields(ProblemSpec)}
+
+
+def field_value(cfg, key):
+    """The value cfg resolved for config key: spec keys through cfg.spec, the rest as fields."""
+    return cfg.spec.get(key, SPEC_DEFAULTS[key]) if key in SPEC_KEYS else getattr(cfg, key)
 
 
 def read_csv(path):
@@ -324,7 +334,7 @@ class TestConfigPrecedence:
         cfg = write_config(tmp_path, {"preset": "wave1", "g": "zero", "alpha": 1.0, "T": 2.0})
         args = build_parser().parse_args(["solve", "--config", cfg, "--T", "0.25"])
         got = resolve_config(args)
-        assert (got.g, got.alpha, got.T) == ("zero", 1.0, 0.25)
+        assert (got.spec["g"], got.spec["alpha"], got.spec["T"]) == ("zero", 1.0, 0.25)
         assert got.N == 200  # from the preset
 
     def test_bad_config_json(self, tmp_path, capsys):
@@ -334,21 +344,23 @@ class TestConfigPrecedence:
 
     def test_every_key_reaches_its_field_and_every_flag_beats_the_file(self, tmp_path):
         assert set(EVERY_KEY) == set(FIELDS) - {"preset"}
-        assert set(EVERY_KEY) == {f.name for f in fields(RunConfig)} - {"n_from_flag"}
+        run_fields = {f.name for f in fields(RunConfig)} - {"n_from_flag", "spec"}
+        assert set(EVERY_KEY) == run_fields | set(SPEC_KEYS)
         path = write_config(tmp_path, {"preset": "wave1", **EVERY_KEY})
         got = resolve_config(build_parser().parse_args(["converge", "--config", path]))
         wave1 = resolve_config(build_parser().parse_args(["converge", "--preset", "wave1"]))
         for key, value in EVERY_FIELD.items():
-            assert getattr(got, key) == value, key
-            assert value not in (getattr(RunConfig(), key), getattr(wave1, key)), key
+            assert field_value(got, key) == value, key
+            assert value not in (field_value(RunConfig(), key), field_value(wave1, key)), key
+        assert got.problem_spec() == ProblemSpec(**{key: EVERY_FIELD[key] for key in SPEC_KEYS})
         assert got.scheme_list() == [("EI-SW22", 0.4)]  # scheme beats schemes
         assert not got.n_from_flag
 
         flags = ["--N", "14", "--T", "0.5", "--scheme", "EI-E1", "--c2", "0.9", "--M", "7",
                  "--M", "9", "--Mref", "70", "--out", "flag.csv", "--snapshots", "2"]
         got = resolve_config(build_parser().parse_args(["converge", "--config", path, *flags]))
-        assert (got.N, got.T, got.scheme, got.c2, got.M, got.M_ref, got.out, got.snapshots) == (
-            14, 0.5, "EI-E1", 0.9, [7, 9], 70, "flag.csv", 2)
+        assert (got.N, got.spec["T"], got.scheme, got.c2, got.M, got.M_ref, got.out,
+                got.snapshots) == (14, 0.5, "EI-E1", 0.9, [7, 9], 70, "flag.csv", 2)
         assert got.n_from_flag
         got = resolve_config(build_parser().parse_args(["converge", "--config", path,
                                                         "--preset", "beam1"]))
@@ -364,6 +376,15 @@ class TestConfigPrecedence:
         path = write_config(tmp_path, {**EVERY_KEY, "out": str(out)})
         assert main(["converge", "--config", path]) == 0
         assert {row[0] for row in read_csv(out)[1:]} == {"EI-SW22"}
+
+    def test_flags_and_file_values_parse_alike(self, tmp_path):
+        # flags go through the file's parsers, so "14.0" is the count 14 in both
+        path = write_config(tmp_path, {"preset": "wave1", "N": 14.0, "T": 0.5, "M": [7, 9]})
+        from_file = resolve_config(build_parser().parse_args(["converge", "--config", path]))
+        from_flags = resolve_config(build_parser().parse_args([
+            "converge", "--preset", "wave1", "--N", "14.0", "--T", "0.5", "--M", "7", "--M", "9"]))
+        assert from_flags == dataclasses.replace(from_file, n_from_flag=True)
+        assert (from_flags.N, from_flags.spec["T"], from_flags.M) == (14, 0.5, [7, 9])
 
     def test_resolving_twice_gives_equal_configs_and_leaves_presets(self, tmp_path):
         before = copy.deepcopy(PRESETS)
@@ -427,6 +448,13 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (SMALL_SOLVE[:-2] + ["--scheme", "EI-SW22", "--c2", "1e-320", "--M", "4"], None),
         (CONVERGE, {**LINEAR_CONFIG, "scheme": "EI-E1", "ref_scheme": "EI-SW21",
                     "ref_c2": 1e-320}),
+        # flags are parsed as file values are, and a usage error is a config error
+        (SMALL_SOLVE + ["--M", "x"], None),
+        (SMALL_SOLVE + ["--M", "4", "--N", "2.5"], None),
+        (SMALL_SOLVE + ["--M", "4", "--T", "abc"], None),
+        (SMALL_SOLVE[:-2] + ["--scheme", "EI-SW21", "--c2", "x", "--M", "4"], None),
+        (SMALL_SOLVE + ["--M", "4", "--Mx", "4"], None),
+        (SMALL_SOLVE + ["--M"], None),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
          "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
@@ -434,14 +462,25 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
          "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
          "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list",
          "ell-tiny-wave", "ell-tiny-beam", "c2-subnormal-sw21", "c2-subnormal-sw22",
-         "ref-c2-subnormal"],
+         "ref-c2-subnormal", "flag-M-text", "flag-N-fraction", "flag-T-text", "flag-c2-text",
+         "flag-unknown", "flag-M-trailing"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:
         args = args + ["--config", write_config(tmp_path, config)]
-    assert main(args + ["--out", str(tmp_path / "x.csv")]) == 1
+    # --out goes before the other flags, so the last flag of args stays last
+    assert main(args[:1] + ["--out", str(tmp_path / "x.csv")] + args[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_missing_command_is_one_error_line_and_help_exits_0(capsys):
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--Mref" in capsys.readouterr().out
 
 
 def test_unwritable_out_is_one_error_line(tmp_path, capsys):
