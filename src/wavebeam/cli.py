@@ -88,55 +88,67 @@ class RunConfig:
         raise ConfigError("no scheme given (use --scheme, a preset, or a config 'schemes' list)")
 
 
-def _string(key: str, value) -> str:
+def _string(name: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"config field {key!r} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 
-def _number(key: str, value) -> float:
+def _number(name: str, value) -> float:
     if not isinstance(value, bool):  # float(true) is 1.0, but a JSON boolean is no number
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):  # an int above 1.8e308 overflows
             pass
-    raise ConfigError(f"config field {key!r} must be a number, got {value!r}")
+    raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _count(key: str, value) -> int:
-    num = _number(key, value)
-    if not num.is_integer():
-        raise ConfigError(f"config field {key!r} must be an integer, got {value!r}")
+def _count(name: str, value) -> int:
+    num = value
+    if isinstance(value, str):  # int() reads a decimal count exactly; float() rounds above 2^53
+        try:
+            num = int(value)
+        except ValueError:
+            pass
+    if isinstance(num, bool) or not isinstance(num, int):
+        num = _number(name, value)
+        if not num.is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        num = int(num)
     if num < 1:
-        raise ConfigError(f"config field {key!r} must be at least 1, got {value!r}")
-    return int(num)
+        raise ConfigError(f"{name} must be at least 1, got {value!r}")
+    try:
+        float(num)  # solve divides T by M, so a count must also be a finite float
+    except OverflowError:
+        raise ConfigError(f"{name} is too large for a float, got {value!r}") from None
+    return num
 
 
-def _counts(key: str, value) -> list:
-    return [_count(key, m) for m in (value if isinstance(value, list) else [value])]
+def _counts(name: str, value) -> list:
+    return [_count(name, m) for m in (value if isinstance(value, list) else [value])]
 
 
-def _profile(key: str, value) -> Profile:
+def _profile(name: str, value) -> Profile:
     if isinstance(value, str):
         return Profile(value)
     if isinstance(value, dict) and isinstance(value.get("name"), str):
         params = value.get("params", ())
         if not isinstance(params, (list, tuple)):
             raise ConfigError(f"profile params must be a list, got {params!r}")
-        return Profile(value["name"], tuple(_number("params", v) for v in params))
+        return Profile(value["name"], tuple(_number(f"params of {name}", v) for v in params))
     raise ConfigError(f"profile entries need a string 'name' (optional 'params'), got {value!r}")
 
 
-def _schemes(key: str, value) -> list:
+def _schemes(name: str, value) -> list:
     if not isinstance(value, list):
-        raise ConfigError(f"config field {key!r} must be a list, got {value!r}")
+        raise ConfigError(f"{name} must be a list, got {value!r}")
     out = []
     for item in value:
         if isinstance(item, str):
             out.append((item, None))
         elif isinstance(item, dict) and isinstance(item.get("name"), str):
             c2 = item.get("c2")
-            out.append((item["name"], None if c2 is None else _number("c2", c2)))
+            out.append((item["name"], None if c2 is None else _number(f"c2 of {name}", c2)))
         else:
             raise ConfigError(f"scheme entries need a string 'name' (optional 'c2'), got {item!r}")
     return out
@@ -144,7 +156,9 @@ def _schemes(key: str, value) -> list:
 
 # The config vocabulary: every config-file key, which is also the argparse
 # dest of its flag, mapped to the parser of its JSON value or flag string.
-# Every key but "preset" names a RunConfig field or a key of RunConfig.spec.
+# A parser's first argument names the value in its errors: the config field
+# or the flag it came from. Every key but "preset" names a RunConfig field
+# or a key of RunConfig.spec.
 FIELDS = {
     **dict.fromkeys(("preset", "kind", "g", "h", "scheme", "ref_scheme", "out"), _string),
     **dict.fromkeys(("alpha", "beta", "gamma", "delta", "ell", "T", "c2", "ref_c2"), _number),
@@ -169,9 +183,9 @@ def _preset_fields(preset_id: str) -> dict:
     }
 
 
-def _parse_layer(layer: dict) -> dict:
-    """Each value of one layer parsed by its FIELDS entry; a None value leaves its field unset."""
-    return {key: FIELDS[key](key, value) for key, value in layer.items() if value is not None}
+def _parse_layer(layer: dict, name) -> dict:
+    """Each value of one layer but None parsed by its FIELDS entry, named name(key) in errors."""
+    return {key: FIELDS[key](name(key), value) for key, value in layer.items() if value is not None}
 
 
 def _read_config_file(path: str) -> dict:
@@ -187,13 +201,14 @@ def _read_config_file(path: str) -> dict:
     unknown = sorted(key for key in data if key not in FIELDS)
     if unknown:
         raise ConfigError(f"unknown config field(s) {', '.join(map(repr, unknown))}")
-    return _parse_layer(data)
+    return _parse_layer(data, lambda key: f"config field {key!r}")
 
 
 def resolve_config(args) -> RunConfig:
     """Preset, then config file, then flags, each layer overriding the one before."""
     file = _read_config_file(args.config) if args.config else {}
-    flags = _parse_layer({key: value for key, value in vars(args).items() if key in FIELDS})
+    flags = _parse_layer({key: value for key, value in vars(args).items() if key in FIELDS},
+                         lambda key: f"flag {OPTIONS[key][0]}")
     # the preset names the lowest layer, so it leaves both dicts: --preset first
     preset_id = flags.pop("preset", file.pop("preset", None))
     merged = _preset_fields(preset_id) if preset_id is not None else {}
@@ -361,6 +376,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+# Every subcommand's options, by argparse dest: the flag, the one place it is
+# spelled, and its add_argument keywords. A dest in FIELDS is a config key.
+OPTIONS = {
+    "config": ("--config", dict(metavar="PATH", help="JSON config file")),
+    "preset": ("--preset", dict(metavar="ID", help="named experiment preset")),
+    "scheme": ("--scheme", dict(metavar="NAME", help="integrator scheme")),
+    "c2": ("--c2", dict(metavar="X", help="free node for EI-SW21/EI-SW22")),
+    "M": ("--M", dict(action="append", metavar="N", help="step count (repeat for converge)")),
+    "M_ref": ("--Mref", dict(metavar="N", help="reference step count")),
+    "N": ("--N", dict(metavar="n", help="number of interior grid points")),
+    "T": ("--T", dict(metavar="t", help="final time")),
+    "out": ("--out", dict(metavar="PATH", help="output CSV path")),
+    "snapshots": ("--snapshots", dict(metavar="K", help="snapshot every K steps")),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of the process; parse_args leaves it unchanged and flags as strings."""
@@ -376,16 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         ("oracle-check", "compare the block path against the dense oracle"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", metavar="PATH", help="JSON config file")
-        p.add_argument("--preset", metavar="ID", help="named experiment preset")
-        p.add_argument("--scheme", metavar="NAME", help="integrator scheme")
-        p.add_argument("--c2", metavar="X", help="free node for EI-SW21/EI-SW22")
-        p.add_argument("--M", action="append", metavar="N", help="step count (repeat for converge)")
-        p.add_argument("--Mref", dest="M_ref", metavar="N", help="reference step count")
-        p.add_argument("--N", metavar="n", help="number of interior grid points")
-        p.add_argument("--T", metavar="t", help="final time")
-        p.add_argument("--out", metavar="PATH", help="output CSV path")
-        p.add_argument("--snapshots", metavar="K", help="snapshot every K steps")
+        for dest, (flag, kwargs) in OPTIONS.items():
+            p.add_argument(flag, dest=dest, **kwargs)
     return parser
 
 

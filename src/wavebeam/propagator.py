@@ -34,6 +34,15 @@ broadcast multiply by the cached (r, 2, n) stack of the rows' table columns and
 one sum over the rows in mode space, and one (2, n) product back (Niesen &
 Wright, ACM TOMS 38, 2012, evaluate such sums in one pass). One order and one
 (2n,) state or (n,) w-half is the same apply on that input's one or two rows.
+
+Below n of about 100 numpy's per-call overhead outweighs those products. So a
+key whose premixed in-matrix P[i*n + a, c*n + j] = Q[a, j] * stack[i, c, j],
+Q with its columns scaled by each mixing column, has at most PREMIX_MAX
+entries (2*r*n^2) caches P instead of its stack, and at most PREMIX_SLOTS of
+them are kept. Its apply is the flat rows times P, which mixes and sums in one
+product, then the same (2, n) product back. Only the rounding of each entry of
+P and the order of the sum change, so it agrees with the stack's apply to
+about 1e-14.
 """
 
 from __future__ import annotations
@@ -44,6 +53,15 @@ from .discretize import GridOperator, ProblemSpec, StateVector
 from .eigen import SpectralFactorization, factorize
 from .errors import DimensionMismatchError, InvalidDimensionError
 from .modefuncs import ModeParams, classify_mode, phi_block
+
+# Measured per step: a key whose premixed in-matrix has at most this many
+# entries, 2*r*n^2 for r input rows (256 KB), steps no slower through it than
+# through a product with Q, a broadcast mix and a reduce (one thread; table in
+# README).
+PREMIX_MAX = 32768
+# Premixed in-matrices held at once, the oldest dropped first: one solve of any
+# scheme uses at most 4 apply keys, all in its first step, so none is rebuilt.
+PREMIX_SLOTS = 4
 
 
 def permutation_positions(n: int) -> np.ndarray:
@@ -57,8 +75,9 @@ def permutation_positions(n: int) -> np.ndarray:
 class BlockPropagator:
     """Engine applying matrix functions of tA to state vectors.
 
-    Block tables and mixing stacks are built once, on first use of their key,
-    in one cache. The ``tables_built`` and ``applies`` counters are plain attributes.
+    Block tables, mixing stacks and premixed in-matrices are built once, on
+    first use of their key, in one cache; at most PREMIX_SLOTS premixed ones
+    are held. The ``tables_built`` and ``applies`` counters are plain attributes.
     """
 
     def __init__(self, fact: SpectralFactorization, modes: ModeParams, params):
@@ -94,8 +113,10 @@ class BlockPropagator:
         (2n,) state or (n,) w-half, the source (0, y), is the one-term case,
         on y's rows. All rows go to mode space in one product with Q, are
         mixed and summed there by the cached (r, 2, n) stack of their table
-        columns, and one (2, n) product takes the sum back. A y that is not
-        an array, such as a tuple of inputs, is a DimensionMismatchError.
+        columns, and one (2, n) product takes the sum back; up to PREMIX_MAX
+        entries, one product with the premixed in-matrix mixes and sums
+        them. A y that is not an array, such as a tuple of inputs, is a
+        DimensionMismatchError.
         """
         n = self.n
         if not isinstance(y, np.ndarray):
@@ -118,12 +139,22 @@ class BlockPropagator:
             for i, ki in enumerate(k):  # the first len(y) - len(k) inputs are full states
                 tab = self.table(ki, t)
                 cols += (tab[:, 0], tab[:, 1]) if i < len(y) - len(k) else (tab[:, 1],)
-            mixer = self._tables[key] = np.stack(cols)
+            mixer = np.stack(cols)
+            if 2 * len(y) * n * n <= PREMIX_MAX:
+                # (r, 1, 2, n) * (n, 1, n) is [i, a, c, j]; P stays C-ordered: the
+                # Fortran-ordered P'.T ran up to 1.3x faster, with 3x the rounding error
+                mixer = (mixer[:, np.newaxis] * self.fact.q[:, np.newaxis]).reshape(-1, 2 * n)
+                held = [old for old, entry in self._tables.items() if entry.ndim == 2]
+                if len(held) >= PREMIX_SLOTS:  # the cache's order is the order of building
+                    del self._tables[held[0]]
+            self._tables[key] = mixer
         transform = self.fact.transform
+        self.applies += 1
+        if mixer.ndim == 2:  # premixed: P mixes and sums the rows in the product in
+            return transform((y.reshape(-1) @ mixer).reshape(2, n)).reshape(2 * n)
         # a lone row stays a vector: through the fold, a one-row matrix
         # product takes 2x the time of the same vector product at n = 600
         spec = transform(y[0])[np.newaxis] if len(y) == 1 else transform(y)
-        self.applies += 1
         return transform(np.add.reduce(mixer * spec[:, np.newaxis], axis=0)).reshape(2 * n)
 
 

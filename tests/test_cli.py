@@ -386,6 +386,26 @@ class TestConfigPrecedence:
         assert from_flags == dataclasses.replace(from_file, n_from_flag=True)
         assert (from_flags.N, from_flags.spec["T"], from_flags.M) == (14, 0.5, [7, 9])
 
+    def test_counts_are_read_exactly_above_2_53(self):
+        # float() would round 2^53 + 1 to 2^53; a non-integral number is still no count
+        big = 2**53 + 1
+        assert cli._count("M", str(big)) == big and cli._count("M", big) == big
+        assert cli._count("M", "14.0") == cli._count("M", 14.0) == cli._count("M", "1.4e1") == 14
+        resolved = resolve_config(build_parser().parse_args(
+            ["converge", "--preset", "wave1", "--Mref", str(big)]))
+        assert resolved.M_ref == big
+        for bad in ("2.5", 2.5, "inf", "nan", "x", True, "0", -3, "9" * 400, 10**400):
+            with pytest.raises(cli.ConfigError):
+                cli._count("M", bad)
+
+    def test_bad_flag_value_names_the_flag(self, tmp_path, capsys):
+        assert main(["converge", "--preset", "wave1", "--Mref", "x"]) == 1
+        assert capsys.readouterr().err == "error: flag --Mref must be a number, got 'x'\n"
+        path = write_config(tmp_path, {"preset": "wave1", "M_ref": "x"})
+        assert main(["converge", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: config field 'M_ref' must be a number, got 'x'\n")
+
     def test_resolving_twice_gives_equal_configs_and_leaves_presets(self, tmp_path):
         before = copy.deepcopy(PRESETS)
         path = write_config(tmp_path, {"preset": "wave1", "T": 0.5})
@@ -420,6 +440,7 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (["solve"], {**LINEAR_CONFIG, "M": 4.5, "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "beta": "x", "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "gamma": "inf", "scheme": "EI-E1"}),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "alpha": 10**400, "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": "x"}]}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "p": {"name": "sine", "params": ["x"]},
                                  "scheme": "EI-E1"}),
@@ -455,15 +476,18 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (SMALL_SOLVE[:-2] + ["--scheme", "EI-SW21", "--c2", "x", "--M", "4"], None),
         (SMALL_SOLVE + ["--M", "4", "--Mx", "4"], None),
         (SMALL_SOLVE + ["--M"], None),
+        # an exact count that no float holds: solve divides T by it
+        (SMALL_SOLVE + ["--M", "9" * 400], None),
     ],
     ids=["M0", "M-neg", "snapshots0", "T-inf", "N-text", "N-fraction", "M-fraction",
-         "beta-text", "gamma-inf", "c2-text", "params-text", "params-count", "params-nan",
+         "beta-text", "gamma-inf", "alpha-int-overflow", "c2-text", "params-text",
+         "params-count", "params-nan",
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
          "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
          "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list",
          "ell-tiny-wave", "ell-tiny-beam", "c2-subnormal-sw21", "c2-subnormal-sw22",
          "ref-c2-subnormal", "flag-M-text", "flag-N-fraction", "flag-T-text", "flag-c2-text",
-         "flag-unknown", "flag-M-trailing"],
+         "flag-unknown", "flag-M-trailing", "flag-M-400-digits"],
 )
 def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
     if config is not None:

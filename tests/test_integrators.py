@@ -12,6 +12,7 @@ from wavebeam.discretize import (
     Profile,
     StateVector,
     build_beam_operator,
+    build_operator,
     build_wave_operator,
     initial_state,
     nonlinearity,
@@ -380,8 +381,9 @@ class TestSolve:
     def test_transform_rows_per_apply(self, name, c2, monkeypatch):
         # each apply is one product in and one out; more than 4 rows in
         # would hit the small-row GEMM cliff (5 and 6 rows took 3x the time
-        # of 4 through the fold at n = 600), and the sum goes back as 2 rows
-        spec, op, prop = damped_wave_setup(g="sin")
+        # of 4 through the fold at n = 600), and the sum goes back as 2 rows.
+        # At n = 200 no key is premixed: 2*r*n^2 >= 80 000 entries
+        spec, op, prop = damped_wave_setup(n=200, g="sin")
         rows = []
         transform = SpectralFactorization.transform
 
@@ -397,27 +399,67 @@ class TestSolve:
         assert max(rows[0::2]) <= 4
         assert rows[1::2] == [2] * res.stats.phi_applies
 
-    @pytest.mark.parametrize("n,g", [(300, None), (601, "zero")], ids=["dense300", "fold601"])
+    @pytest.mark.parametrize("name,c2", STEP_SCHEMES)
+    def test_premixed_apply_is_one_transform_of_two_rows(self, name, c2, monkeypatch):
+        # at n = 8 every key is premixed: the rows go in through one product
+        # with the key's in-matrix, and only the sum goes through transform
+        spec, op, prop = damped_wave_setup(g="sin")
+        rows = []
+        transform = SpectralFactorization.transform
+
+        def counted(fact, x):
+            rows.append(1 if x.ndim == 1 else x.shape[0])
+            return transform(fact, x)
+
+        monkeypatch.setattr(SpectralFactorization, "transform", counted)
+        tab = build_tableau(name, c2)
+        res = solve(prop, tab, spec, 2)
+        assert res.stats.phi_applies == tab.s * 2
+        assert rows == [2] * res.stats.phi_applies
+
+    @pytest.mark.parametrize("n,g", [(32, None), (300, None), (601, "zero")],
+                             ids=["premixed32", "dense300", "fold601"])
     @pytest.mark.parametrize("name", [name for name, _ in ALL_SCHEMES])
     def test_no_subnormal_reaches_transform(self, name, n, g, monkeypatch):
         # beam1's overdamped high modes decay below the smallest normal
         # double at tau = 5/256; the tables floor them, so neither the state
-        # nor a mixed spectral sum carries a subnormal into a product with Q
+        # nor a mixed spectral sum carries a subnormal into a product with Q.
+        # A premixed apply's first product is its input rows times the key's
+        # cached in-matrix, so the rows and every in-matrix are checked too
         spec = load_preset("beam1").spec
         spec = dataclasses.replace(spec, T=5.0 * 8 / 256, g=g or spec.g)
         prop = build_propagator(build_beam_operator(n, spec.ell), spec)
         tiny = np.finfo(float).tiny
-        subnormal = []
-        transform = SpectralFactorization.transform
 
-        def checked(fact, x):
-            subnormal.append(int(np.count_nonzero((x != 0) & (np.abs(x) < tiny))))
-            return transform(fact, x)
+        def subnormal(x):
+            return int(np.count_nonzero((x != 0) & (np.abs(x) < tiny)))
 
-        monkeypatch.setattr(SpectralFactorization, "transform", checked)
+        transformed, inputs = [], []
+        transform, apply = SpectralFactorization.transform, prop.apply_stacked
+        monkeypatch.setattr(SpectralFactorization, "transform",
+                            lambda fact, x: transformed.append(subnormal(x)) or transform(fact, x))
+        monkeypatch.setattr(prop, "apply_stacked",
+                            lambda k, t, y: inputs.append(subnormal(y)) or apply(k, t, y))
         solve(prop, build_tableau(name, 0.5), spec, 8)
-        assert len(subnormal) == 2 * prop.applies
-        assert sum(subnormal) == 0
+        premixed = [entry for entry in prop._tables.values() if entry.ndim == 2]
+        assert bool(premixed) == (n == 32)
+        assert len(transformed) == (1 if premixed else 2) * prop.applies
+        assert sum(transformed) + sum(inputs) + sum(map(subnormal, premixed)) == 0
+
+    @pytest.mark.parametrize("preset_id", ["wave1", "beam1"])
+    def test_linear_flow_drift_over_8192_steps(self, preset_id):
+        # with g = h = zero, EI-E1 steps the exact flow, so 8192 steps of one
+        # premixed apply each must match one exp(TA) apply to rounding: a
+        # per-key dense map Q diag(m) Q', whose rounding is fixed per key and
+        # adds up coherently step after step, read 8e-12 on beam1
+        preset = load_preset(preset_id)
+        spec = dataclasses.replace(preset.spec, g="zero", h="zero")
+        n = 64
+        prop = build_propagator(build_operator(preset.kind, n, spec.ell), spec)
+        got = solve(prop, build_tableau("EI-E1"), spec, 8192).y_final.stacked()
+        assert sum(entry.ndim == 2 for entry in prop._tables.values()) == 1  # the step's one key
+        want = apply_phi(prop, 0, spec.T, initial_state(spec, n)).stacked()
+        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 3e-12
 
     def test_phi_evaluation_counting_e1(self):
         spec, op, prop = damped_wave_setup(g="sin")

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from wavebeam import integrators, propagator
 from wavebeam.discretize import (
     ProblemSpec,
     Profile,
@@ -327,3 +328,52 @@ def test_rows_form_rejects_bad_shapes():
     prop.apply_stacked((0, 1), 0.03, np.zeros((3, n)))  # cached now, and still checked by shape
     with pytest.raises(DimensionMismatchError):
         prop.apply_stacked((0, 1), 0.03, np.zeros((3, n + 1)))
+
+
+@pytest.mark.parametrize("n", [8, 50, 64])
+def test_premixed_apply_matches_the_mixing_stack(n, monkeypatch):
+    # one key through its (r, 2, n) stack and through its premixed
+    # in-matrix, switched by the bound, gives the same sum to 1e-14
+    spec = ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2)
+    stacks = build_propagator(build_wave_operator(n, 1.0), spec)
+    premixed = build_propagator(build_wave_operator(n, 1.0), spec)
+    rng = np.random.default_rng(n)
+    for ks in [(0, 1), (0, 1, 2), (2, 3), (1,)]:
+        for r in (len(ks), len(ks) + 1, 2 * len(ks)):  # w-halves, a full state first, full states
+            rows, key = rng.standard_normal((r, n)), (ks, 0.03, (r, n))
+            monkeypatch.setattr(propagator, "PREMIX_MAX", 0)
+            want = stacks.apply_stacked(ks, 0.03, rows)
+            monkeypatch.setattr(propagator, "PREMIX_MAX", 10**12)
+            got = premixed.apply_stacked(ks, 0.03, rows)
+            assert stacks._tables[key].shape == (r, 2, n)
+            assert premixed._tables[key].shape == (r * n, 2 * n)
+            err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert err <= 1e-14, f"k={ks}, r={r}: {err:.2e}"
+
+
+def test_premixed_cache_keeps_premix_slots_entries(monkeypatch):
+    # a converge study of five schemes at seven M on one propagator premixes
+    # new keys at every step size; the oldest are dropped and the tables kept.
+    # A solve uses at most PREMIX_SLOTS keys, all in its first step, so no
+    # later step gathers one again
+    spec = load_preset("wave1").spec
+    prop = build_propagator(build_wave_operator(32, spec.ell), spec)
+    lookups, table, step = [], prop.table, integrators._step_stacked
+
+    def counted(*args):
+        lookups.append(None)  # a step starts
+        return step(*args)
+
+    monkeypatch.setattr(prop, "table", lambda k, t: lookups.append(k) or table(k, t))
+    monkeypatch.setattr(integrators, "_step_stacked", counted)
+    solve(prop, build_tableau("EI-SW4"), spec, 2048)
+    for name, c2 in [("EI-E1", None), ("EI-SW21", 0.5), ("EI-SW22", 0.5), ("EI-K4", None),
+                     ("EI-SW4", None)]:
+        for m_steps in (16, 32, 64, 128, 256, 512, 1024):
+            lookups.clear()
+            solve(prop, build_tableau(name, c2), spec, m_steps)
+            assert lookups[lookups.index(None, 1) :] == [None] * (m_steps - 1)  # steps 2..M
+            premixed = [key for key, entry in prop._tables.items() if entry.ndim == 2]
+            assert len(premixed) <= propagator.PREMIX_SLOTS
+    assert len(premixed) == propagator.PREMIX_SLOTS
+    assert sum(len(key) == 2 for key in prop._tables) == prop.tables_built
