@@ -26,9 +26,10 @@ from .discretize import BEAM, GridOperator
 from .errors import InvalidDimensionError
 
 # Measured crossover: from this n on, the fold steps an EI-K4 solve at least
-# 1.05x faster than the dense Q (OpenBLAS, one thread; table in README); below
-# it the two extra products and the fold's O(n) passes cost about what they save.
-N_FOLD = 320
+# 1.05x faster than the dense Q (OpenBLAS, one thread; table in README), where
+# the dense 4-row product falls off a GEMM cliff; below it the two extra
+# products and the fold's O(n) passes cost about what they save.
+N_FOLD = 304
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,17 @@ class SpectralFactorization:
         return _dst_matrix(self.n) if self.dense is None else self.dense
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        """x @ Q on row vectors: grid values to mode coefficients and back."""
+        """x @ Q on row vectors: grid values to mode coefficients and back.
+
+        The products go through ``ndarray.dot``, not the ``@`` ufunc: the same
+        BLAS call and the same bits, for 0.3-0.6 us less per call (table in
+        README), and the same floating-point warnings under ``np.errstate``.
+        """
         if self.dense is not None:
-            return x @ self.dense
+            return x.dot(self.dense)
         odd, even = self.fold
-        a = x[..., 0::2] @ odd
-        b = x[..., 1::2] @ even
+        a = x[..., 0::2].dot(odd)
+        b = x[..., 1::2].dot(even)
         y = np.empty(x.shape, dtype=a.dtype)
         h = a.shape[-1]
         # y[n+1-j] = a - b first, so that y[j] = a + b wins the middle column of odd n
@@ -101,7 +107,7 @@ def _dst_matrix(n: int) -> np.ndarray:
     j = np.arange(1, n + 1)
     _gather(n, j, j, q)
     # q is exactly symmetric, so its transpose is the same matrix; as that
-    # free Fortran-ordered view, the (2, n) @ q products of ``transform`` run
+    # free Fortran-ordered view, the (2, n) products of ``transform`` with q run
     # 1.2x faster at n = 600 than on the C-ordered array (OpenBLAS, 1 thread)
     return q.T
 

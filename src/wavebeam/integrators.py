@@ -172,8 +172,8 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> tuple:
-    """The D_j array, then (c, c*tau, first, orders, weights, *buffers) per stage 2..s and update.
+def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> list:
+    """(c, c*tau, first, orders, weights, *buffers, seen, target) per stage 2..s and update.
 
     Column 1 of every row is in its node's base. ``first`` marks the first
     row at its node c, whose orders start with the base's (0, 1). A later
@@ -182,10 +182,13 @@ def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> tuple:
     phi_{orders[o]} on D_j, over the D_j the row can see; orders whose
     weights all vanish are left out. For an F of ``size``, the buffers are
     the row's (r, n) inputs and their flat parts: y_in and f_in, which take
-    y and c*tau*F(y) at a node's first row only, and d_in, its D-sums.
+    y and c*tau*F(y) at a node's first row only, and d_in, its D-sums. All
+    rows share one D_j array: ``seen`` is its view of the D_j the row sums,
+    and ``target`` the row where stage i + 2 puts its D_j, None at the update.
     """
     plan, last = [], {}
     rows = [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]
+    diffs = np.empty((len(rows) - 1, size))
     for i, (c, combos) in enumerate(rows):
         weights = {}  # (k, j): weight of phi_k on D_j, over columns j >= 2
         for j, combo in enumerate(combos[1:], start=2):
@@ -203,8 +206,10 @@ def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> tuple:
         flat = np.empty(head + len(orders) * size)
         parts = flat[: 2 * n], flat[2 * n : head], flat[head:].reshape(len(orders), size)
         orders = (0, 1, *orders) if first else tuple(orders)
-        plan.append((c, c * tau, first, orders, mat, flat.reshape(-1, n), *parts))
-    return np.empty((len(rows) - 1, size)), plan
+        target = diffs[i] if i < len(diffs) else None
+        inputs = flat.reshape(-1, n)
+        plan.append((c, c * tau, first, orders, mat, inputs, *parts, diffs[:i], target))
+    return plan
 
 
 def _step_stacked(prop, plan, forcing, y, f0, zeros):
@@ -219,11 +224,11 @@ def _step_stacked(prop, plan, forcing, y, f0, zeros):
     ``forcing`` returns is written to, so it may return one constant array
     on every call; but F(y) is held through the step, so it may not refill one.
     """
-    diffs, rows = plan
     last = {}  # node -> the previous row there, never written to
-    for i, (c, t, first, orders, weights, inputs, y_in, f_in, d_in) in enumerate(rows):
+    for i, row in enumerate(plan):
+        c, t, first, orders, weights, inputs, y_in, f_in, d_in, seen, target = row
         if weights.size:
-            np.matmul(weights, diffs[:i], out=d_in)
+            weights.dot(seen, out=d_in)
         if first:
             y_in[...] = y
             np.multiply(f0, t, out=f_in)
@@ -233,23 +238,24 @@ def _step_stacked(prop, plan, forcing, y, f0, zeros):
         else:
             yi = last[c]
         last[c] = yi
-        if math.isnan(yi @ zeros):
-            where = f"stage {i + 2}" if i < len(diffs) else "the step update"
+        if math.isnan(yi.dot(zeros)):
+            where = "the step update" if target is None else f"stage {i + 2}"
             raise InstabilityError(f"non-finite values in {where}")
-        if i < len(diffs):
-            fi = _check_forcing(forcing, forcing(yi), [f0.shape], i + 2)
-            np.subtract(fi, f0, out=diffs[i])
+        if target is not None:
+            fi = forcing(yi)
+            if fi.shape != f0.shape:
+                _check_forcing(forcing, fi, [f0.shape], i + 2)
+            np.subtract(fi, f0, out=target)
     return yi
 
 
 def _check_forcing(forcing, f, shapes, stage):
-    """f, the value of ``forcing`` at ``stage`` of a step, if its shape is in ``shapes``."""
+    """Raise unless f, the value of ``forcing`` at ``stage`` of a step, has a shape in shapes."""
     if f.shape not in shapes:
         raise DimensionMismatchError(
             f"forcing {getattr(forcing, '__name__', forcing)!r} returned shape {f.shape} "
             f"at stage {stage}, not {' or '.join(map(str, shapes))}"
         )
-    return f
 
 
 def _check_count(name: str, value) -> None:
@@ -291,11 +297,14 @@ def solve(
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
         # F(y_0) sizes the one plan of the solve; every later F must match it
-        f = _check_forcing(forcing, forcing(y), [(prop.n,), (2 * prop.n,)], 1)
-        plan = _plan_rows(tableau, tau, prop.n, f.size)
+        f = forcing(y)
+        _check_forcing(forcing, f, [(prop.n,), (2 * prop.n,)], 1)
+        plan, shape = _plan_rows(tableau, tau, prop.n, f.size), f.shape
         for i in range(M):
             if i:
-                f = _check_forcing(forcing, forcing(y), [f.shape], 1)
+                f = forcing(y)
+                if f.shape != shape:
+                    _check_forcing(forcing, f, [shape], 1)
             try:
                 y = _step_stacked(prop, plan, forcing, y, f, zeros)
             except InstabilityError as exc:

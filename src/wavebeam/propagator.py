@@ -30,10 +30,11 @@ goes in and only the w-column tab[:, 1] of the blocks mixes it.
 An exponential RK step needs these actions only as sums sum_i phi_{k_i}(tA) y_i
 at one t, so ``apply_stacked`` takes a tuple of orders and the (r, n) grid rows
 of the inputs and returns the sum in one apply: one stacked product with Q, one
-broadcast multiply by the cached (r, 2, n) stack of the rows' table columns and
-one sum over the rows in mode space, and one (2, n) product back (Niesen &
-Wright, ACM TOMS 38, 2012, evaluate such sums in one pass). One order and one
-(2n,) state or (n,) w-half is the same apply on that input's one or two rows.
+einsum that multiplies by the cached (r, 2, n) stack of the rows' table columns
+and sums over the rows in mode space, in row order as a broadcast multiply and
+a reduce would, and one (2, n) product back (Niesen & Wright, ACM TOMS 38,
+2012, evaluate such sums in one pass). One order and one (2n,) state or (n,)
+w-half is the same apply on that input's one or two rows.
 
 Below n of about 100 numpy's per-call overhead outweighs those products. So a
 key whose premixed in-matrix P[i*n + a, c*n + j] = Q[a, j] * stack[i, c, j],
@@ -43,6 +44,10 @@ them are kept. Its apply is the flat rows times P, which mixes and sums in one
 product, then the same (2, n) product back. Only the rounding of each entry of
 P and the order of the sum change, so it agrees with the stack's apply to
 about 1e-14.
+
+Every product here and in ``transform`` is ``ndarray.dot``, not ``@``: the
+same BLAS call with the same bits, without the 0.3-0.6 us the matmul ufunc
+adds to each call, which at n = 50 is most of a product (table in README).
 """
 
 from __future__ import annotations
@@ -55,10 +60,10 @@ from .errors import DimensionMismatchError, InvalidDimensionError
 from .modefuncs import ModeParams, classify_mode, phi_block
 
 # Measured per step: a key whose premixed in-matrix has at most this many
-# entries, 2*r*n^2 for r input rows (256 KB), steps no slower through it than
-# through a product with Q, a broadcast mix and a reduce (one thread; table in
-# README).
-PREMIX_MAX = 32768
+# entries, 2*r*n^2 for r input rows (240 KB; every key up to n = 50), steps no
+# slower through it than through a product with Q and the mix in mode space
+# (one thread; table in README).
+PREMIX_MAX = 30000
 # Premixed in-matrices held at once, the oldest dropped first: one solve of any
 # scheme uses at most 4 apply keys, all in its first step, so none is rebuilt.
 PREMIX_SLOTS = 4
@@ -151,11 +156,11 @@ class BlockPropagator:
         transform = self.fact.transform
         self.applies += 1
         if mixer.ndim == 2:  # premixed: P mixes and sums the rows in the product in
-            return transform((y.reshape(-1) @ mixer).reshape(2, n)).reshape(2 * n)
+            return transform(y.reshape(-1).dot(mixer).reshape(2, n)).reshape(2 * n)
         # a lone row stays a vector: through the fold, a one-row matrix
         # product takes 2x the time of the same vector product at n = 600
         spec = transform(y[0])[np.newaxis] if len(y) == 1 else transform(y)
-        return transform(np.add.reduce(mixer * spec[:, np.newaxis], axis=0)).reshape(2 * n)
+        return transform(np.einsum("icj,ij->cj", mixer, spec)).reshape(2 * n)
 
 
 def build_propagator(

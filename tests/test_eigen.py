@@ -111,7 +111,7 @@ def test_factorize_allocates_little_beyond_q():
     assert q_peak <= 1.25 * 8 * n * n, f"q read peak {q_peak / (8 * n * n):.2f} x its bytes"
 
 
-@pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 384, 385, 601, 1001])
+@pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 320, 321, 384, 385, 601, 1001])
 def test_folded_transform_is_the_product_with_q(n):
     fact = factorize(build_beam_operator(n, 1.0))
     assert fact.dense is None
@@ -125,6 +125,32 @@ def test_folded_transform_is_the_product_with_q(n):
     odd, even = fact.fold
     h = (n + 1) // 2
     assert np.array_equal(odd, fact.q[0::2, :h]) and np.array_equal(even, fact.q[1::2, :h])
+
+
+def matmul_fold(fact, x):
+    # the fold as the @ expressions that transform used before it called ndarray.dot
+    odd, even = fact.fold
+    a = x[..., 0::2] @ odd
+    b = x[..., 1::2] @ even
+    y = np.empty(x.shape, dtype=a.dtype)
+    h = a.shape[-1]
+    np.subtract(a, b, out=y[..., ::-1][..., :h])
+    np.add(a, b, out=y[..., :h])
+    return y
+
+
+@pytest.mark.parametrize("n", [50, 200, 601])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_transform_is_the_matmul_bit_for_bit(n, r):
+    # ndarray.dot hands BLAS the operands @ does, so a step's bits do not
+    # depend on which of the two transform calls: dense below N_FOLD, the
+    # fold from there on, for every row count a step makes and a lone vector
+    fact = factorize(build_wave_operator(n, 1.0))
+    assert (fact.dense is None) == (n >= N_FOLD)
+    rng = np.random.default_rng(100 * n + r)
+    for x in (rng.standard_normal((r, n)), rng.standard_normal(n)):
+        want = x @ fact.dense if fact.dense is not None else matmul_fold(fact, x)
+        assert fact.transform(x).tobytes() == want.tobytes()
 
 
 def test_folded_solve_never_builds_q():

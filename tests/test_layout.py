@@ -79,3 +79,42 @@ def test_explicit_matrices_live_in_oracles_alone():
     assert wavebeam.merged_damping_solve is oracles.merged_damping_solve
     assert not hasattr(integrators, "merged_damping_solve")
     assert not {"stencil", "entries"} & set(dir(wavebeam.GridOperator))
+
+
+STEP_PATH = {
+    "eigen": ("SpectralFactorization.transform",),
+    "propagator": ("BlockPropagator.apply_stacked",),
+    "integrators": ("_step_stacked", "solve"),
+}
+
+
+def function_bodies(tree, names):
+    """The function definitions of ``tree`` named ``name`` or ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and f"{node.name}.{item.name}" in names:
+                    yield f"{node.name}.{item.name}", item
+        elif isinstance(node, ast.FunctionDef) and node.name in names:
+            yield node.name, node
+
+
+@pytest.mark.parametrize("module", sorted(STEP_PATH))
+def test_step_path_products_avoid_the_matmul_ufunc(module):
+    # @ costs 0.3-0.6 us more per call than ndarray.dot for the same BLAS
+    # product and bits: see the per-call table under "Products through
+    # ndarray.dot" in README. The oracles and the tests keep @
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = dict(function_bodies(tree, STEP_PATH[module]))
+    assert sorted(found) == sorted(STEP_PATH[module])
+    for name, func in found.items():
+        for node in ast.walk(func):
+            callee = getattr(node, "func", None)
+            matmul = isinstance(getattr(node, "op", None), ast.MatMult) or (
+                getattr(callee, "attr", getattr(callee, "id", None)) == "matmul"
+            )
+            assert not matmul, (
+                f"{module}.{name} line {node.lineno} multiplies through the matmul ufunc; "
+                "step-path products go through ndarray.dot (README, per-call table under "
+                "'Products through ndarray.dot')"
+            )

@@ -224,7 +224,7 @@ def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
                 assert err <= 1e-15, f"k={k} t={t} mode {i}: {err:.2e}"
 
 
-@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 385, 601])
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 321, 385, 601])
 def test_source_half_matches_stacked_source(n):
     # an (n,) f is the source (0, f): one row in, the w-column of each block
     op = build_wave_operator(n, 1.0)
@@ -245,7 +245,7 @@ def test_source_half_matches_stacked_source(n):
         prop.apply_stacked(0, 0.03, np.zeros((2, n)))
 
 
-@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 385, 601])
+@pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 321, 385, 601])
 def test_combination_equals_sum_of_one_term_applies(n):
     # one apply of sum_i phi_{k_i}(tA) y_i: every input row through one
     # product with Q, mixed and summed in mode space, one product back
@@ -377,3 +377,26 @@ def test_premixed_cache_keeps_premix_slots_entries(monkeypatch):
             assert len(premixed) <= propagator.PREMIX_SLOTS
     assert len(premixed) == propagator.PREMIX_SLOTS
     assert sum(len(key) == 2 for key in prop._tables) == prop.tables_built
+
+
+@pytest.mark.parametrize("n", [8, 50, 200, 601])
+def test_apply_is_its_matmul_and_broadcast_form_bit_for_bit(n):
+    # a premixed key's in-product gives the bits of the flat rows @ P, and a
+    # stack's mix those of np.add.reduce(stack * spec[:, None], axis=0), which
+    # adds the rows' terms in the per-term loop's order; both sums go back
+    # through transform. Up to n = 50 every key here is premixed, above none
+    prop = build_propagator(build_wave_operator(n, 1.0),
+                            ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
+    transform = prop.fact.transform
+    rng = np.random.default_rng(n)
+    for ks, r in [((1,), 1), ((0, 1), 2), ((0, 1), 3), ((0, 1, 2), 4), ((0, 1), 4)]:
+        rows = rng.standard_normal((r, n))
+        got = prop.apply_stacked(ks, 0.03, rows)
+        mixer = prop._tables[ks, 0.03, (r, n)]
+        assert mixer.ndim == (2 if n <= 50 else 3)
+        if mixer.ndim == 2:
+            mixed = (rows.reshape(-1) @ mixer).reshape(2, n)
+        else:
+            spec = transform(rows[0])[np.newaxis] if r == 1 else transform(rows)
+            mixed = np.add.reduce(mixer * spec[:, np.newaxis], axis=0)
+        assert got.tobytes() == transform(mixed).reshape(2 * n).tobytes(), f"k={ks}, r={r}"
