@@ -7,15 +7,11 @@ blocks have one closed form, r*I + s*(G - m*I), in every discriminant case.
 """
 
 from .discretize import (
-    BEAM,
-    WAVE,
     GridOperator,
     ProblemSpec,
     Profile,
     StateVector,
-    build_beam_operator,
     build_operator,
-    build_wave_operator,
     grid_points,
     initial_state,
     sample_profile,

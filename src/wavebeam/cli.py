@@ -89,8 +89,9 @@ class RunConfig:
 
 
 def _string(name: str, value) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{name} must be a string, got {value!r}")
+    # no key takes "": an empty "out" would write the command's default file
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
     return value
 
 
@@ -347,14 +348,11 @@ def cmd_oracle_check(cfg: RunConfig) -> int:
     for kind, regime, n, _t, _k, err in rows:
         key = (kind, regime, n)
         worst[key] = max(worst.get(key, 0.0), err)
-    failed = False
     for (kind, regime, n), err in sorted(worst.items()):
         status = "ok" if err <= ORACLE_TOL else "FAIL"
-        if err > ORACLE_TOL:
-            failed = True
         print(f"{kind:5s} {regime:12s} n={n:<3d} max_rel_err={err:.3e} {status}")
     print(f"discriminant cases covered: {', '.join(sorted(cases_seen))}")
-    if failed:
+    if not all(err <= ORACLE_TOL for err in worst.values()):
         print(f"oracle check FAILED (tolerance {ORACLE_TOL:g})", file=sys.stderr)
         return 1
     print("oracle check passed")

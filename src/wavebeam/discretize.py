@@ -4,13 +4,15 @@ The 1D domain (0, ell) is discretized at the interior nodes x_i = i*dx,
 i = 1..n, with dx = ell/(n+1). Homogeneous Dirichlet values at the
 endpoints are eliminated, so all vectors have length n.
 
-Two symmetric operators are provided:
+Each operator kind is one ``OperatorKind`` record in ``KINDS``; no other
+module branches on the kind. Two symmetric operators are provided:
 
 * wave: second-difference approximation of -d^2/dx^2, tridiagonal with
   diagonal 2/dx^2 and off-diagonal -1/dx^2;
 * beam: fourth-difference approximation of d^4/dx^4 under hinged-hinged
   boundary conditions, pentadiagonal with corner diagonal entries 5/dx^4,
-  interior diagonal 6/dx^4, and off-diagonals -4/dx^4, 1/dx^4.
+  interior diagonal 6/dx^4, and off-diagonals -4/dx^4, 1/dx^4 (the 5/dx^4
+  corners eliminate the zero-moment ghost values).
 
 The engine reaches S only through its spectrum (``eigen.factorize``);
 ``oracles.stencil`` builds S itself, for the comparators.
@@ -31,8 +33,30 @@ from .errors import (
     UnknownProfileError,
 )
 
-WAVE = "wave"
-BEAM = "beam"
+
+@dataclass(frozen=True)
+class OperatorKind:
+    """One operator kind: its least n, eigenvalue rule and stencil band, as plain numbers.
+
+    Its eigenvectors are the DST-I's and its eigenvalues the wave's,
+    4/dx^2 sin^2(j*pi/(2(n+1))), to the ``power``. Its band is dx^-dx_power
+    times ``diagonal`` (``corner`` at both ends) and ``off[k-1]`` on the k-th
+    off-diagonals, written out so that the stencil checks the eigenvalue rule.
+    """
+
+    least_n: int
+    power: int
+    diagonal: float
+    corner: float
+    off: tuple
+    dx_power: int
+
+
+# the beam is the wave squared, entry for entry (Strang, SIAM Review 41, 1999)
+KINDS = {
+    "wave": OperatorKind(least_n=1, power=1, diagonal=2.0, corner=2.0, off=(-1.0,), dx_power=2),
+    "beam": OperatorKind(least_n=3, power=2, diagonal=6.0, corner=5.0, off=(-4.0, 1.0), dx_power=4),
+}
 
 
 @dataclass(frozen=True)
@@ -44,11 +68,13 @@ class GridOperator:
     ell: float
 
     def __post_init__(self):
-        least = {WAVE: 1, BEAM: 3}.get(self.kind)
-        if least is None:
-            raise InvalidDimensionError(f"unknown operator kind {self.kind!r}")
+        if self.kind not in KINDS:
+            raise InvalidDimensionError(
+                f"unknown operator kind {self.kind!r}; known kinds: {', '.join(KINDS)}"
+            )
         if not isinstance(self.n, int) or isinstance(self.n, bool):
             raise InvalidDimensionError(f"operator size must be an integer, got {self.n!r}")
+        least = KINDS[self.kind].least_n
         if self.n < least:
             raise InvalidDimensionError(f"{self.kind} operator needs n >= {least}, got {self.n}")
         if not self.ell > 0:
@@ -136,20 +162,6 @@ class StateVector:
             raise DimensionMismatchError(f"stacked state must have even length, got {y.shape}")
         n = y.size // 2
         return cls(y[:n].copy(), y[n:].copy())
-
-
-def build_wave_operator(n: int, ell: float) -> GridOperator:
-    """Tridiagonal operator for -d^2/dx^2 with Dirichlet ends."""
-    return GridOperator(WAVE, n, ell)
-
-
-def build_beam_operator(n: int, ell: float) -> GridOperator:
-    """Pentadiagonal operator for d^4/dx^4 with hinged-hinged ends.
-
-    The 5/dx^4 corner entries come from eliminating the zero-moment ghost
-    values; this is the only beam boundary variant provided.
-    """
-    return GridOperator(BEAM, n, ell)
 
 
 def build_operator(kind: str, n: int, ell: float) -> GridOperator:

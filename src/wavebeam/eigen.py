@@ -1,8 +1,9 @@
 """Orthogonal factorization S = Q diag(lam) Q' of the grid operators, in closed form.
 
-Both operators of ``discretize.GridOperator`` are diagonalized exactly by the
+Every operator kind of ``discretize.KINDS`` is diagonalized exactly by the
 orthonormal DST-I matrix Q_ij = sqrt(2/(n+1)) sin(ij*pi/(n+1)). The wave
-operator has lam_j = 4/dx^2 sin^2(j*pi/(2(n+1))); the hinged-hinged beam
+operator has lam_j = 4/dx^2 sin^2(j*pi/(2(n+1))), and each kind's
+eigenvalues are these to its record's ``power``: the hinged-hinged beam
 operator equals the square of the wave operator entry for entry, so it has
 the same Q and the squared eigenvalues (Strang, "The discrete cosine
 transform", SIAM Review 41, 1999). Eigenvalues ascend and each column of Q
@@ -22,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .discretize import BEAM, GridOperator
+from .discretize import KINDS, GridOperator
 from .errors import InvalidDimensionError
 
 # Measured crossover: from this n on, the fold steps an EI-K4 solve at least
@@ -113,7 +114,7 @@ def _dst_matrix(n: int) -> np.ndarray:
 
 
 def factorize(op: GridOperator) -> SpectralFactorization:
-    """S = Q diag(lam) Q' from the operator's kind, n and ell alone."""
+    """S = Q diag(lam) Q' from the operator's kind record, n and ell alone."""
     n = op.n
     dense, fold = None, ()
     if n < N_FOLD:
@@ -130,6 +131,5 @@ def factorize(op: GridOperator) -> SpectralFactorization:
     # a tiny ell gives inf here, not ZeroDivisionError; build_propagator names it
     with np.errstate(divide="ignore", over="ignore"):
         lam = 4.0 / np.float64(op.dx * op.dx) * np.sin(j * (np.pi / (2 * (n + 1)))) ** 2
-        if op.kind == BEAM:
-            lam = lam * lam
+        lam **= KINDS[op.kind].power  # in place, no new array: ** 2 is lam * lam, ** 1 a no-op
     return SpectralFactorization(lam=lam, dense=dense, fold=fold)

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .discretize import (
-    WAVE,
+    KINDS,
     GridOperator,
     ProblemSpec,
     StateVector,
@@ -50,32 +50,24 @@ _EXPM_SCALE_TARGET = 0.5
 
 
 def stencil(op: GridOperator):
-    """S itself as a scipy CSR matrix, with the entries the ``discretize`` docstring lists."""
+    """S itself as a scipy CSR matrix, from the band of its kind's ``discretize.KINDS`` record."""
     import scipy.sparse as sp
 
-    n, dx = op.n, op.dx
-    if op.kind == WAVE:
-        c = 1.0 / (dx * dx)
-        return sp.diags([2.0 * c, -c, -c], [0, 1, -1], shape=(n, n), format="csr")
-    c = 1.0 / dx**4
-    diag = np.full(n, 6.0 * c)
-    diag[0] = diag[-1] = 5.0 * c
-    return sp.diags([diag, -4.0 * c, -4.0 * c, c, c], [0, 1, -1, 2, -2], shape=(n, n),
-                    format="csr")
+    kind, n, dx = KINDS[op.kind], op.n, op.dx
+    # dx * dx, not dx**2: pow rounds about one dx in 1000 the other way
+    c = 1.0 / (dx * dx if kind.dx_power == 2 else dx**kind.dx_power)
+    diag = np.full(n, kind.diagonal * c)
+    diag[0] = diag[-1] = kind.corner * c
+    off = [coef * c for coef in kind.off]
+    m = len(off)
+    return sp.diags([*off[::-1], diag, *off], range(-m, m + 1), shape=(n, n), format="csr")
 
 
 def assemble_dense_A(op: GridOperator, spec: ProblemSpec) -> np.ndarray:
-    """Explicit 2n-by-2n matrix [[0, I], [-alpha*S-delta*I, -beta*S-gamma*I]]."""
-    n = op.n
-    if n > ASSEMBLE_MAX_N:
-        raise OracleScaleError(f"dense assembly capped at n = {ASSEMBLE_MAX_N}, got {n}")
-    eye = np.eye(n)
-    s_mat = stencil(op).toarray()
-    top = np.hstack([np.zeros((n, n)), eye])
-    bottom = np.hstack(
-        [-spec.alpha * s_mat - spec.delta * eye, -spec.beta * s_mat - spec.gamma * eye]
-    )
-    return np.vstack([top, bottom])
+    """``assemble_sparse_A`` as a dense array, for the dense oracles."""
+    if op.n > ASSEMBLE_MAX_N:
+        raise OracleScaleError(f"dense assembly capped at n = {ASSEMBLE_MAX_N}, got {op.n}")
+    return assemble_sparse_A(op, spec).toarray()
 
 
 def _expm_taylor(m: np.ndarray) -> np.ndarray:
@@ -317,7 +309,7 @@ def _oracle_regimes(kind: str, fact):
     )
 
 
-def block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3), kinds=("wave", "beam"), seed=1234):
+def block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3), kinds=tuple(KINDS), seed=1234):
     """Compare the block path against the dense oracle over a parameter grid.
 
     Returns (rows, cases_seen): rows of (kind, regime, n, t, k, max relative

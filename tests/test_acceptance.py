@@ -20,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from wavebeam.discretize import build_beam_operator, build_wave_operator, initial_state
+from wavebeam.discretize import build_operator, initial_state
 from wavebeam.eigen import factorize
 from wavebeam.errors import InstabilityError
 from wavebeam.integrators import build_tableau, combine_combos, solve
@@ -45,8 +45,7 @@ def report(criterion, ok, detail):
 def desk_setup(preset_id, kind, n, T):
     preset = load_preset(preset_id)
     spec = dataclasses.replace(preset.spec, T=T)
-    build = build_wave_operator if kind == "wave" else build_beam_operator
-    op = build(n, spec.ell)
+    op = build_operator(kind, n, spec.ell)
     fact = factorize(op)
     return spec, op, build_propagator(op, spec, fact=fact), fact
 
@@ -129,7 +128,7 @@ def test_c4_linear_exactness():
     start = time.perf_counter()
     preset = load_preset("wave1")
     spec = dataclasses.replace(preset.spec, g="zero", h="zero")
-    op = build_wave_operator(50, spec.ell)
+    op = build_operator("wave", 50, spec.ell)
     prop = build_propagator(op, spec)
     tab = build_tableau("EI-SW4")
     y1 = solve(prop, tab, spec, 1).y_final.stacked()
@@ -155,7 +154,7 @@ def test_c5_tableau_identities_and_constant_forcing():
 
     preset = load_preset("wave1")
     spec = dataclasses.replace(preset.spec, g="zero", h="zero", T=0.21)
-    op = build_wave_operator(24, spec.ell)
+    op = build_operator("wave", 24, spec.ell)
     prop = build_propagator(op, spec)
     rng = np.random.default_rng(17)
     const = rng.standard_normal(2 * op.n)
@@ -227,8 +226,8 @@ def test_c7_permutation_and_factorization_structure():
     perm_ok = np.array_equal(permutation_positions(3), [1, 3, 5, 2, 4, 6])
     details = [f"P3 positions {'match' if perm_ok else 'WRONG'}"]
     resid_ok = True
-    for build, kind in ((build_wave_operator, "wave"), (build_beam_operator, "beam")):
-        op = build(200, 1.0)
+    for kind in ("wave", "beam"):
+        op = build_operator(kind, 200, 1.0)
         fact = factorize(op)
         orth = np.max(np.abs(fact.q.T @ fact.q - np.eye(200)))
         recon = np.max(np.abs(fact.q @ np.diag(fact.lam) @ fact.q.T - stencil(op).toarray()))
@@ -242,7 +241,7 @@ def test_c7_permutation_and_factorization_structure():
 
 def test_c8_apply_cost_scaling():
     """One warm apply at n=200 costs at most 4x two dense 200x200 mat-vecs."""
-    op = build_wave_operator(200, 1.0)
+    op = build_operator("wave", 200, 1.0)
     preset = load_preset("wave1")
     prop = build_propagator(op, preset.spec)
     rng = np.random.default_rng(23)

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from dataclasses import MISSING, fields
 
 import numpy as np
@@ -462,6 +463,10 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "N": True, "scheme": "EI-E1"}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "schemes": [{"name": "EI-SW21", "c2": True}]}),
         (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "out": ["a.csv"]}),
+        # an empty out would write the command's default file
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "scheme": "EI-E1", "out": ""}),
+        (SMALL_SOLVE + ["--M", "4", "--out", ""], None),
+        (["solve", "--M", "4"], {**LINEAR_CONFIG, "kind": "plate", "scheme": "EI-E1"}),
         (["solve"], {"preset": "wave1", "ell": 1e-300, "N": 20, "M": [4], "scheme": "EI-E1"}),
         (["solve"], {"preset": "beam1", "ell": 1e-40, "N": 20, "M": [4], "scheme": "EI-E1"}),
         # a subnormal c2 passes (0, 1], but the weights 1/c2 overflow
@@ -485,17 +490,20 @@ CONVERGE = ["converge", "--M", "4", "--M", "8", "--M", "16", "--Mref", "64"]
          "preset-list", "preset-empty", "schemes-number", "scheme-name-number",
          "scheme-name-null", "schemes-string", "schemes-dict", "key-Mref", "key-alhpa",
          "profile-name-list", "profile-name-dict", "N-bool", "c2-bool", "out-list",
+         "out-empty", "flag-out-empty", "kind-unknown",
          "ell-tiny-wave", "ell-tiny-beam", "c2-subnormal-sw21", "c2-subnormal-sw22",
          "ref-c2-subnormal", "flag-M-text", "flag-N-fraction", "flag-T-text", "flag-c2-text",
          "flag-unknown", "flag-M-trailing", "flag-M-400-digits"],
 )
-def test_bad_input_is_one_error_line(tmp_path, capsys, args, config):
+def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, args, config):
+    monkeypatch.chdir(tmp_path)  # where a default output name would land
     if config is not None:
         args = args + ["--config", write_config(tmp_path, config)]
     # --out goes before the other flags, so the last flag of args stays last
     assert main(args[:1] + ["--out", str(tmp_path / "x.csv")] + args[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert set(os.listdir(tmp_path)) <= {"config.json"}
 
 
 def test_missing_command_is_one_error_line_and_help_exits_0(capsys):

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from wavebeam.discretize import (
+    KINDS,
     GridOperator,
+    OperatorKind,
     ProblemSpec,
     Profile,
     StateVector,
-    build_beam_operator,
     build_operator,
-    build_wave_operator,
     forcing_from_spec,
     sample_profile,
 )
@@ -29,25 +29,25 @@ from wavebeam.oracles import stencil
 
 class TestWaveOperator:
     def test_single_point(self):
-        op = build_wave_operator(1, 1.0)
+        op = build_operator("wave", 1, 1.0)
         assert op.dx == 0.5
         assert stencil(op).toarray() == np.array([[8.0]])
 
     def test_three_point_pattern(self):
-        op = build_wave_operator(3, 1.0)
+        op = build_operator("wave", 3, 1.0)
         expected = 16.0 * np.array([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], dtype=float)
         assert np.array_equal(stencil(op).toarray(), expected)
 
     def test_eigenvalues_analytic(self):
         # tridiagonal Toeplitz: lam_k = 4/dx^2 sin^2(k pi / (2(n+1)))
-        op = build_wave_operator(3, 1.0)
+        op = build_operator("wave", 3, 1.0)
         fact = factorize(op)
         expected = np.array([16 * (2 - math.sqrt(2)), 32.0, 16 * (2 + math.sqrt(2))])
         assert np.max(np.abs(fact.lam - expected) / expected) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 17, 64])
     def test_row_sums(self, n):
-        op = build_wave_operator(n, 1.0)
+        op = build_operator("wave", n, 1.0)
         sums = stencil(op).toarray().sum(axis=1)
         c = 1.0 / op.dx**2
         if n >= 3:
@@ -57,32 +57,32 @@ class TestWaveOperator:
 
     def test_invalid_dimensions(self):
         with pytest.raises(InvalidDimensionError):
-            build_wave_operator(0, 1.0)
+            build_operator("wave", 0, 1.0)
         with pytest.raises(InvalidDimensionError):
-            build_wave_operator(4, 0.0)
+            build_operator("wave", 4, 0.0)
         with pytest.raises(InvalidDimensionError):
-            build_wave_operator(4, -2.0)
+            build_operator("wave", 4, -2.0)
 
 
 class TestBeamOperator:
     def test_three_point_pattern(self):
-        op = build_beam_operator(3, 1.0)
+        op = build_operator("beam", 3, 1.0)
         assert op.dx == 0.25
         expected = np.array([[5, -4, 1], [-4, 6, -4], [1, -4, 5]], dtype=float) / 0.25**4
         assert np.array_equal(stencil(op).toarray(), expected)
 
     @pytest.mark.parametrize("n", [3, 4, 9, 30])
     def test_exact_symmetry(self, n):
-        op = build_beam_operator(n, 2.0)
+        op = build_operator("beam", n, 2.0)
         assert np.array_equal(stencil(op).toarray(), stencil(op).toarray().T)
 
     def test_three_point_positive_eigenvalues(self):
-        fact = factorize(build_beam_operator(3, 1.0))
+        fact = factorize(build_operator("beam", 3, 1.0))
         assert np.all(fact.lam > 0)
 
     def test_rejects_small_n(self):
         with pytest.raises(InvalidDimensionError):
-            build_beam_operator(2, 1.0)
+            build_operator("beam", 2, 1.0)
 
 
 class TestGridOperator:
@@ -104,11 +104,31 @@ class TestGridOperator:
         assert op.dx == 1.0 / 2001
         assert peak < 1 << 20, f"build_operator allocated {peak} bytes"
 
+    @pytest.mark.parametrize("record", [
+        # S = I: the wave's eigenvalues to the power 0, one band of ones
+        OperatorKind(least_n=2, power=0, diagonal=1.0, corner=1.0, off=(), dx_power=0),
+        # the beam's band and spectrum under another name, from a larger n
+        OperatorKind(least_n=5, power=2, diagonal=6.0, corner=5.0, off=(-4.0, 1.0), dx_power=4),
+    ], ids=["identity", "beam-twin"])
+    def test_a_kind_is_one_record(self, monkeypatch, record):
+        monkeypatch.setitem(KINDS, "throwaway", record)
+        least = record.least_n
+        with pytest.raises(InvalidDimensionError, match=f"needs n >= {least}, got {least - 1}$"):
+            build_operator("throwaway", least - 1, 1.0)
+        with pytest.raises(InvalidDimensionError, match="known kinds: wave, beam, throwaway$"):
+            build_operator("plate", 4, 1.0)
+        for n in (least, 7, 40):
+            op = build_operator("throwaway", n, 0.3)
+            fact = factorize(op)
+            s_mat = stencil(op).toarray()
+            recon = fact.q @ np.diag(fact.lam) @ fact.q.T
+            assert np.max(np.abs(recon - s_mat)) <= 1e-10 * np.max(np.abs(s_mat))
 
-@pytest.mark.parametrize("builder,n_min", [(build_wave_operator, 1), (build_beam_operator, 3)])
-def test_positive_definite_up_to_64(builder, n_min):
-    for n in range(n_min, 65):
-        fact = factorize(builder(n, 1.0))
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_positive_definite_up_to_64(kind):
+    for n in range(KINDS[kind].least_n, 65):
+        fact = factorize(build_operator(kind, n, 1.0))
         assert fact.lam[0] > 0, f"n={n}: min eigenvalue {fact.lam[0]}"
 
 

@@ -6,13 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wavebeam.discretize import (
-    ProblemSpec,
-    StateVector,
-    build_beam_operator,
-    build_wave_operator,
-    grid_points,
-)
+from wavebeam.discretize import KINDS, ProblemSpec, StateVector, build_operator, grid_points
 from wavebeam.eigen import N_FOLD, factorize
 from wavebeam.integrators import build_tableau, solve
 from wavebeam.modefuncs import classify_mode, phi_block
@@ -20,12 +14,9 @@ from wavebeam.oracles import stencil
 from wavebeam.presets import load_preset
 from wavebeam.propagator import apply_phi, build_propagator
 
-BUILDERS = {"wave": build_wave_operator, "beam": build_beam_operator}
-
-
 def test_hand_2x2():
     # n = 2, dx = 1/3: S = 9 [[2, -1], [-1, 2]]
-    fact = factorize(build_wave_operator(2, 1.0))
+    fact = factorize(build_operator("wave", 2, 1.0))
     assert np.allclose(fact.lam, [9.0, 27.0], rtol=1e-14)
     r = 1.0 / math.sqrt(2.0)
     # sign convention: first nonzero component positive
@@ -34,15 +25,16 @@ def test_hand_2x2():
 
 
 def test_wave3_analytic():
-    fact = factorize(build_wave_operator(3, 1.0))
+    fact = factorize(build_operator("wave", 3, 1.0))
     expected = np.array([16 * (2 - math.sqrt(2)), 32.0, 16 * (2 + math.sqrt(2))])
     assert np.max(np.abs(fact.lam - expected) / expected) < 1e-13
 
 
-@pytest.mark.parametrize("kind", ["wave", "beam"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
 @pytest.mark.parametrize("n", [3, 8, 16, 50, 200, 600])
 def test_factorization_invariants(kind, n):
-    op = BUILDERS[kind](n, 1.0)
+    n = max(n, KINDS[kind].least_n)
+    op = build_operator(kind, n, 1.0)
     fact = factorize(op)
     orth = np.max(np.abs(fact.q.T @ fact.q - np.eye(n)))
     assert orth <= 1e-12 * n, f"orthogonality residual {orth:.2e}"
@@ -58,23 +50,23 @@ def test_factorization_invariants(kind, n):
 
 @pytest.mark.parametrize("n", [8, 50, 200])
 def test_wave_eigenvalues_analytic_formula(n):
-    op = build_wave_operator(n, 1.0)
+    op = build_operator("wave", n, 1.0)
     fact = factorize(op)
     k = np.arange(1, n + 1)
     analytic = 4.0 / op.dx**2 * np.sin(k * math.pi / (2 * (n + 1))) ** 2
     assert np.max(np.abs(fact.lam - analytic) / analytic) < 1e-10
 
 
-@pytest.mark.parametrize("kind", ["wave", "beam"])
+@pytest.mark.parametrize("kind", sorted(KINDS))
 def test_matches_numpy_eigh(kind):
-    op = BUILDERS[kind](24, 1.0)
+    op = build_operator(kind, max(24, KINDS[kind].least_n), 1.0)
     fact = factorize(op)
     ref = np.linalg.eigvalsh(stencil(op).toarray())
     assert np.max(np.abs(fact.lam - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_determinism():
-    op = build_beam_operator(40, 1.0)
+    op = build_operator("beam", 40, 1.0)
     f1 = factorize(op)
     f2 = factorize(op)
     assert np.array_equal(f1.q, f2.q)
@@ -89,7 +81,7 @@ def test_q_is_the_dst_matrix_bit_for_bit(n):
     for i in range(1, n + 1):
         expected[i - 1] = np.sin((i * j) % (2 * (n + 1)) * (np.pi / (n + 1)))
         expected[i - 1] *= np.sqrt(2.0 / (n + 1))
-    q = factorize(build_wave_operator(n, 1.0)).q
+    q = factorize(build_operator("wave", n, 1.0)).q
     assert q.tobytes(order="C") == expected.tobytes(order="C")
 
 
@@ -97,7 +89,7 @@ def test_factorize_allocates_little_beyond_q():
     # n = 1000 is folded: factorize holds two half-size blocks, half the bytes
     # of Q, and the dense Q, built on first read, allocates little beyond itself
     n = 1000
-    op = build_beam_operator(n, 1.0)
+    op = build_operator("beam", n, 1.0)
     tracemalloc.start()
     try:
         fact = factorize(op)
@@ -113,7 +105,7 @@ def test_factorize_allocates_little_beyond_q():
 
 @pytest.mark.parametrize("n", [N_FOLD, N_FOLD + 1, 320, 321, 384, 385, 601, 1001])
 def test_folded_transform_is_the_product_with_q(n):
-    fact = factorize(build_beam_operator(n, 1.0))
+    fact = factorize(build_operator("beam", n, 1.0))
     assert fact.dense is None
     rng = np.random.default_rng(n)
     rows = [rng.standard_normal((2, n)), *np.eye(n)[[0, n // 2, n - 1]]]
@@ -145,7 +137,7 @@ def test_transform_is_the_matmul_bit_for_bit(n, r):
     # ndarray.dot hands BLAS the operands @ does, so a step's bits do not
     # depend on which of the two transform calls: dense below N_FOLD, the
     # fold from there on, for every row count a step makes and a lone vector
-    fact = factorize(build_wave_operator(n, 1.0))
+    fact = factorize(build_operator("wave", n, 1.0))
     assert (fact.dense is None) == (n >= N_FOLD)
     rng = np.random.default_rng(100 * n + r)
     for x in (rng.standard_normal((r, n)), rng.standard_normal(n)):
@@ -155,7 +147,7 @@ def test_transform_is_the_matmul_bit_for_bit(n, r):
 
 def test_folded_solve_never_builds_q():
     preset = load_preset("beam1")
-    prop = build_propagator(build_beam_operator(N_FOLD, 1.0), preset.spec)
+    prop = build_propagator(build_operator("beam", N_FOLD, 1.0), preset.spec)
     solve(prop, build_tableau("EI-K4"), preset.spec, 4, snapshot_every=2)
     assert "q" not in vars(prop.fact)
 
@@ -171,7 +163,7 @@ def closed_form_eigenvalues(kind, n):
 def test_per_mode_eigenvalue_error(kind, n):
     # relative to each eigenvalue, not to max |lam|: the smooth beam modes
     # are the ones a general eigensolver loses
-    fact = factorize(BUILDERS[kind](n, 1.0))
+    fact = factorize(build_operator(kind, n, 1.0))
     exact = closed_form_eigenvalues(kind, n)
     rel = np.abs(fact.lam - exact) / exact
     assert np.max(rel) <= 1e-12, f"worst mode {np.argmax(rel) + 1}: {np.max(rel):.2e}"
@@ -183,7 +175,7 @@ def test_single_mode_evolves_by_its_block(j):
     # the scalar 2x2 exponential of mode j
     n, t = 300, 0.75
     spec = ProblemSpec(alpha=15.0, beta=3e-6, gamma=3e-4, delta=10.0)
-    prop = build_propagator(build_beam_operator(n, 1.0), spec)
+    prop = build_propagator(build_operator("beam", n, 1.0), spec)
     u0 = np.sin(j * math.pi * grid_points(n, 1.0))
     out = apply_phi(prop, 0, t, StateVector(u0, np.zeros(n)))
     blk = phi_block(0, t, classify_mode(prop.modes.lam[j - 1], *prop.params))

@@ -11,9 +11,7 @@ from wavebeam.discretize import (
     ProblemSpec,
     Profile,
     StateVector,
-    build_beam_operator,
     build_operator,
-    build_wave_operator,
     initial_state,
     nonlinearity,
 )
@@ -45,7 +43,7 @@ def damped_wave_setup(n=8, g="sin", T=1.0):
         q=Profile("cosine", (0.5, math.pi)),
         T=T,
     )
-    op = build_wave_operator(n, spec.ell)
+    op = build_operator("wave", n, spec.ell)
     return spec, op, build_propagator(op, spec)
 
 
@@ -147,7 +145,7 @@ class TestStep:
     def test_e1_single_mode_hand_value(self):
         # one spatial mode: the step is a 2x2 computation
         spec = ProblemSpec(alpha=1.0, beta=0.1, g="cube", p=Profile("sine", (2.0, math.pi)), T=1.0)
-        op = build_wave_operator(1, 1.0)
+        op = build_operator("wave", 1, 1.0)
         prop = build_propagator(op, spec)
         y0 = initial_state(spec, 1)
         assert y0.u[0] == 2.0 and y0.w[0] == 0.0
@@ -164,7 +162,7 @@ class TestStep:
     def test_instability_reported_with_step_index(self):
         # explosive growth: g(u) = u^3 from large data blows up quickly
         spec = ProblemSpec(alpha=1.0, g="cube", p=Profile("sine", (50.0, math.pi)), T=50.0)
-        op = build_wave_operator(6, spec.ell)
+        op = build_operator("wave", 6, spec.ell)
         prop = build_propagator(op, spec)
         with pytest.raises(InstabilityError) as exc_info:
             solve(prop, build_tableau("EI-E1"), spec, 10)
@@ -287,7 +285,7 @@ def test_forcing_of_wrong_shape_is_named(shapes):
 
 def test_solve_restores_numpy_error_state_after_instability():
     spec = ProblemSpec(alpha=1.0, g="cube", p=Profile("sine", (50.0, math.pi)), T=50.0)
-    prop = build_propagator(build_wave_operator(6, spec.ell), spec)
+    prop = build_propagator(build_operator("wave", 6, spec.ell), spec)
     with np.errstate(over="warn", invalid="warn"):
         errors = np.geterr()
         with pytest.raises(InstabilityError):
@@ -428,7 +426,7 @@ class TestSolve:
         # cached in-matrix, so the rows and every in-matrix are checked too
         spec = load_preset("beam1").spec
         spec = dataclasses.replace(spec, T=5.0 * 8 / 256, g=g or spec.g)
-        prop = build_propagator(build_beam_operator(n, spec.ell), spec)
+        prop = build_propagator(build_operator("beam", n, spec.ell), spec)
         tiny = np.finfo(float).tiny
 
         def subnormal(x):
@@ -506,7 +504,7 @@ class TestRK4Baseline:
             alpha=15.0, beta=3e-6, gamma=3e-4, delta=10.0, g="neg_five_cube",
             p=Profile("gaussian", (5.0, 100.0, 2.0 / 3.0)), T=1.0,
         )
-        op = build_beam_operator(200, spec.ell)
+        op = build_operator("beam", 200, spec.ell)
         with pytest.raises(InstabilityError) as exc_info:
             rk4_baseline_solve(op, spec, 100)
         assert exc_info.value.step is not None
@@ -519,7 +517,7 @@ class TestStiffnessIndependence:
     SPEC = dataclasses.replace(load_preset("wave1").spec, T=1.0)
 
     def reference(self, n):
-        op = build_wave_operator(n, self.SPEC.ell)
+        op = build_operator("wave", n, self.SPEC.ell)
         prop = build_propagator(op, self.SPEC)
         return op, prop, solve(prop, build_tableau("EI-SW4"), self.SPEC, 2048).y_final
 
@@ -552,7 +550,7 @@ class TestMergedDamping:
             alpha=2.0, g="sin", p=Profile("sine", (1.0, math.pi)),
             q=Profile("cosine", (1.0, math.pi)), T=0.5,
         )
-        op = build_wave_operator(10, spec.ell)
+        op = build_operator("wave", 10, spec.ell)
         prop = build_propagator(op, spec)
         tab = build_tableau("EI-SW21", 0.5)
         direct = solve(prop, tab, spec, 16).y_final.stacked()
@@ -564,7 +562,7 @@ class TestMergedDamping:
             alpha=1.0, beta=1e-2, gamma=1e-1, delta=1.0, g="neg_five_cube",
             p=Profile("sine", (5.0, 5 * math.pi)), q=Profile("cosine", (5.0, 10 * math.pi)), T=1.0,
         )
-        op = build_wave_operator(32, spec.ell)
+        op = build_operator("wave", 32, spec.ell)
         prop = build_propagator(op, spec)
         ref = solve(prop, build_tableau("EI-K4"), spec, 8192).y_final.stacked()
         tab = build_tableau("EI-SW21", 1.0 / 3.0)

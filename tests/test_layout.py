@@ -118,3 +118,26 @@ def test_step_path_products_avoid_the_matmul_ufunc(module):
                 "step-path products go through ndarray.dot (README, per-call table under "
                 "'Products through ndarray.dot')"
             )
+
+
+def kind_branches(tree):
+    """Line numbers where ``tree`` compares, or matches on, some object's ``.kind``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+        elif isinstance(node, ast.Match):
+            operands = [node.subject]
+        else:
+            continue
+        if any(isinstance(x, ast.Attribute) and x.attr == "kind" for x in operands):
+            yield node.lineno
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "discretize")
+)
+def test_only_discretize_branches_on_the_operator_kind(module):
+    # a kind is one record of discretize.KINDS, which the other modules read;
+    # oracles._oracle_regimes tunes damping by a kind name, not by an operator
+    lines = list(kind_branches(ast.parse((PACKAGE / f"{module}.py").read_text())))
+    assert not lines, f"{module}.py compares an operator's .kind at lines {lines}: read KINDS"

@@ -6,7 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from wavebeam.discretize import build_beam_operator
+from wavebeam.discretize import build_operator
 from wavebeam.eigen import factorize
 from wavebeam.errors import PhiOrderError
 from wavebeam.modefuncs import (
@@ -237,7 +237,7 @@ class TestFloor:
     def test_beam_tables_hold_no_entry_below_floor(self, n):
         # beam1's coefficients: the overdamped high modes decay into gradual
         # underflow, and every entry that would be subnormal is returned as 0
-        lam = factorize(build_beam_operator(n, 1.0)).lam
+        lam = factorize(build_operator("beam", n, 1.0)).lam
         p = classify_mode(lam, 15.0, 3e-6, 3e-4, 10.0)
         for t in (1e-4, 0.01, 0.3):
             for k in range(5):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from wavebeam.discretize import ProblemSpec, build_operator, build_wave_operator, sample_profile
+from wavebeam.discretize import ProblemSpec, build_operator, sample_profile
 from wavebeam.errors import (
     DimensionMismatchError,
     InsufficientPointsError,
@@ -29,13 +29,13 @@ from wavebeam.propagator import build_propagator
 
 class TestAssemble:
     def test_single_mode(self):
-        op = build_wave_operator(1, math.sqrt(2.0))
+        op = build_operator("wave", 1, math.sqrt(2.0))
         a = assemble_dense_A(op, ProblemSpec(alpha=1.0))
         assert np.allclose(a, [[0.0, 1.0], [-4.0, 0.0]], rtol=1e-15)
         assert a[0, 1] == 1.0 and a[1, 1] == 0.0
 
     def test_two_modes_all_parameters(self):
-        op = build_wave_operator(2, 1.0)
+        op = build_operator("wave", 2, 1.0)
         spec = ProblemSpec(alpha=2.0, beta=0.5, gamma=0.25, delta=3.0)
         a = assemble_dense_A(op, spec)
         s = stencil(op).toarray()
@@ -45,7 +45,7 @@ class TestAssemble:
         assert np.array_equal(a[2:, 2:], -0.5 * s - 0.25 * np.eye(2))
 
     def test_eigenvalues_match_mode_blocks(self):
-        op = build_wave_operator(2, 1.0)
+        op = build_operator("wave", 2, 1.0)
         spec = ProblemSpec(alpha=1.0, beta=0.3, gamma=0.1, delta=0.2)
         a = assemble_dense_A(op, spec)
         eigs = np.sort_complex(np.linalg.eigvals(a))
@@ -57,7 +57,7 @@ class TestAssemble:
         assert np.allclose(eigs, want, rtol=1e-9, atol=1e-9)
 
     def test_scale_cap(self):
-        op = build_wave_operator(65, 1.0)
+        op = build_operator("wave", 65, 1.0)
         with pytest.raises(OracleScaleError):
             assemble_dense_A(op, ProblemSpec(alpha=1.0))
 

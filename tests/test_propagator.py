@@ -10,8 +10,7 @@ from wavebeam.discretize import (
     ProblemSpec,
     Profile,
     StateVector,
-    build_beam_operator,
-    build_wave_operator,
+    build_operator,
     nonlinearity,
 )
 from wavebeam.eigen import N_FOLD, factorize
@@ -56,7 +55,7 @@ class TestPermutation:
 
 class TestApplyPhi:
     def test_identity_at_t_zero(self):
-        op = build_wave_operator(6, 1.0)
+        op = build_operator("wave", 6, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=2.0, beta=0.1, gamma=0.2, delta=0.3))
         v = random_state(6, seed=1)
         for k in (0, 1):
@@ -64,7 +63,7 @@ class TestApplyPhi:
             assert np.allclose(out.stacked(), v.stacked(), rtol=1e-14, atol=1e-15)
 
     def test_matches_dense_oracle(self):
-        op = build_wave_operator(8, 1.0)
+        op = build_operator("wave", 8, 1.0)
         spec = ProblemSpec(alpha=1.0, beta=0.05, gamma=0.1, delta=0.2)
         prop = build_propagator(op, spec)
         a_mat = assemble_dense_A(op, spec)
@@ -77,27 +76,26 @@ class TestApplyPhi:
 
     def test_wave1_modes_all_complex_at_n200(self):
         preset = load_preset("wave1")
-        op = build_wave_operator(200, preset.spec.ell)
+        op = build_operator("wave", 200, preset.spec.ell)
         prop = build_propagator(op, preset.spec)
         assert prop.modes.case.shape == (200,)
         assert np.all(prop.modes.case == COMPLEX_PAIR)
 
     def test_k_out_of_range(self):
-        op = build_wave_operator(4, 1.0)
+        op = build_operator("wave", 4, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.0))
         with pytest.raises(PhiOrderError):
             apply_phi(prop, 5, 0.1, random_state(4))
 
     def test_dimension_mismatch(self):
-        op = build_wave_operator(4, 1.0)
+        op = build_operator("wave", 4, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.0))
         with pytest.raises(DimensionMismatchError):
             apply_phi(prop, 0, 0.1, random_state(5))
 
     @pytest.mark.parametrize("kind,n", [("wave", 12), ("wave", 50), ("beam", 12), ("beam", 50)])
     def test_semigroup(self, kind, n):
-        build = build_wave_operator if kind == "wave" else build_beam_operator
-        op = build(n, 1.0)
+        op = build_operator(kind, n, 1.0)
         scale = 1.0 if kind == "wave" else 1e-4
         spec = ProblemSpec(alpha=scale, beta=0.02 * scale, gamma=0.05, delta=0.1)
         prop = build_propagator(op, spec)
@@ -109,7 +107,7 @@ class TestApplyPhi:
         assert err <= 1e-11
 
     def test_linearity(self):
-        op = build_wave_operator(10, 1.0)
+        op = build_operator("wave", 10, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=3.0, beta=0.01, gamma=0.1))
         v, w = random_state(10, seed=4), random_state(10, seed=5)
         a, b = 0.7, -1.3
@@ -122,7 +120,7 @@ class TestApplyPhi:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_commutes_with_A(self, k):
-        op = build_wave_operator(12, 1.0)
+        op = build_operator("wave", 12, 1.0)
         spec = ProblemSpec(alpha=2.0, beta=0.1, gamma=0.3, delta=0.5)
         prop = build_propagator(op, spec)
         a_mat = assemble_dense_A(op, spec)
@@ -133,8 +131,7 @@ class TestApplyPhi:
 
     @pytest.mark.parametrize("kind", ["wave", "beam"])
     def test_damped_modes_decay(self, kind):
-        build = build_wave_operator if kind == "wave" else build_beam_operator
-        op = build(24, 1.0)
+        op = build_operator(kind, 24, 1.0)
         spec = ProblemSpec(alpha=1.0 if kind == "wave" else 1e-4, beta=1e-3, gamma=1e-2)
         prop = build_propagator(op, spec)
         t = 0.7
@@ -146,7 +143,7 @@ class TestApplyPhi:
 
 class TestUndampedReference:
     def test_identity_at_zero(self):
-        op = build_wave_operator(7, 1.0)
+        op = build_operator("wave", 7, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.5, delta=0.2))
         v = random_state(7, seed=7)
         out = apply_undamped_reference(prop, 0.0, v)
@@ -154,7 +151,7 @@ class TestUndampedReference:
 
     def test_single_mode_rotation(self):
         # n = 1 with S = [4]: quarter period sends (1, 0) to (0, -2)
-        op = build_wave_operator(1, math.sqrt(2.0))
+        op = build_operator("wave", 1, math.sqrt(2.0))
         assert stencil(op).toarray()[0, 0] == pytest.approx(4.0, rel=1e-15)
         prop = build_propagator(op, ProblemSpec(alpha=1.0))
         out = apply_undamped_reference(prop, math.pi / 4, StateVector([1.0], [0.0]))
@@ -162,7 +159,7 @@ class TestUndampedReference:
         assert out.w[0] == pytest.approx(-2.0, rel=1e-12)
 
     def test_agrees_with_block_path(self):
-        op = build_beam_operator(9, 1.0)
+        op = build_operator("beam", 9, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1e-4, delta=0.3))
         v = random_state(9, seed=8)
         a = apply_phi(prop, 0, 0.37, v).stacked()
@@ -170,7 +167,7 @@ class TestUndampedReference:
         assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
     def test_rejects_damped_propagator(self):
-        op = build_wave_operator(5, 1.0)
+        op = build_operator("wave", 5, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=0.1))
         with pytest.raises(ValueError):
             apply_undamped_reference(prop, 0.1, random_state(5))
@@ -178,7 +175,7 @@ class TestUndampedReference:
 
 class TestStepFunctionCache:
     def test_exact_key_reuse(self):
-        op = build_wave_operator(6, 1.0)
+        op = build_operator("wave", 6, 1.0)
         prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=0.02))
         t1 = prop.table(1, 0.5 * 0.25)
         assert prop.tables_built == 1
@@ -192,7 +189,7 @@ class TestStepFunctionCache:
         assert prop.tables_built == 2
 
     def test_block_layout_is_2_by_2_by_n(self):
-        op = build_wave_operator(5, 1.0)
+        op = build_operator("wave", 5, 1.0)
         spec = ProblemSpec(alpha=1.0, beta=0.02, gamma=0.3)
         prop = build_propagator(op, spec)
         tab = prop.table(0, 0.2)
@@ -211,7 +208,7 @@ class TestStepFunctionCache:
 )
 def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
     # one array evaluation over every mode against one phi_block call per mode
-    op = (build_wave_operator if kind == "wave" else build_beam_operator)(n, 1.0)
+    op = build_operator(kind, n, 1.0)
     prop = build_propagator(op, spec)
     singles = [classify_mode(lam, *prop.params) for lam in prop.modes.lam]
     for t in (1e-4, 0.01, 0.3):
@@ -227,7 +224,7 @@ def test_whole_spectrum_table_matches_per_mode_blocks(kind, n, spec):
 @pytest.mark.parametrize("n", [50, 200, N_FOLD + 1, 321, 385, 601])
 def test_source_half_matches_stacked_source(n):
     # an (n,) f is the source (0, f): one row in, the w-column of each block
-    op = build_wave_operator(n, 1.0)
+    op = build_operator("wave", n, 1.0)
     prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
     assert (prop.fact.dense is None) == (n >= N_FOLD)
     f = np.random.default_rng(n).standard_normal(n)
@@ -249,7 +246,7 @@ def test_source_half_matches_stacked_source(n):
 def test_combination_equals_sum_of_one_term_applies(n):
     # one apply of sum_i phi_{k_i}(tA) y_i: every input row through one
     # product with Q, mixed and summed in mode space, one product back
-    op = build_wave_operator(n, 1.0)
+    op = build_operator("wave", n, 1.0)
     prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
     rng = np.random.default_rng(n)
     inputs = [rng.standard_normal(2 * n), rng.standard_normal(n), rng.standard_normal(n),
@@ -273,7 +270,7 @@ def test_combination_equals_sum_of_one_term_applies(n):
 
 def test_combination_rejects_mismatched_inputs():
     n = 12
-    prop = build_propagator(build_wave_operator(n, 1.0), ProblemSpec(alpha=1.0))
+    prop = build_propagator(build_operator("wave", n, 1.0), ProblemSpec(alpha=1.0))
     y, f = np.zeros(2 * n), np.zeros(n)
     for k, ys in [((0, 1), (y,)), ((0,), (y, f)), ((), ()), ((0, 1), y), ((0, 1), [y, f]),
                   ((0, 1), (y, np.zeros(n + 1))), ((0, 1), (np.zeros((2, n)), f))]:
@@ -292,7 +289,7 @@ def test_rows_form_equals_sum_of_one_term_applies(n, monkeypatch):
     spec = ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2, g="sin",
                        p=Profile("sine", (1.0, math.pi)), q=Profile("cosine", (0.5, math.pi)),
                        T=0.05)
-    prop = build_propagator(build_wave_operator(n, 1.0), spec)
+    prop = build_propagator(build_operator("wave", n, 1.0), spec)
     assert (prop.fact.dense is None) == (n >= N_FOLD)
     calls, apply = [], prop.apply_stacked
     monkeypatch.setattr(
@@ -319,7 +316,7 @@ def test_rows_form_equals_sum_of_one_term_applies(n, monkeypatch):
 
 def test_rows_form_rejects_bad_shapes():
     n = 12
-    prop = build_propagator(build_wave_operator(n, 1.0), ProblemSpec(alpha=1.0))
+    prop = build_propagator(build_operator("wave", n, 1.0), ProblemSpec(alpha=1.0))
     for k, shape in [((0, 1), (1, n)), ((0, 1), (5, n)), ((0,), (3, n)), ((0, 1, 2), (5, n)),
                      ((0, 1), (3, n + 1)), ((0, 1), (3, n - 1)), ((0, 1), (2, 2, n)),
                      ((0, 1), (2 * n,)), ((), (0, n))]:
@@ -335,8 +332,8 @@ def test_premixed_apply_matches_the_mixing_stack(n, monkeypatch):
     # one key through its (r, 2, n) stack and through its premixed
     # in-matrix, switched by the bound, gives the same sum to 1e-14
     spec = ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2)
-    stacks = build_propagator(build_wave_operator(n, 1.0), spec)
-    premixed = build_propagator(build_wave_operator(n, 1.0), spec)
+    stacks = build_propagator(build_operator("wave", n, 1.0), spec)
+    premixed = build_propagator(build_operator("wave", n, 1.0), spec)
     rng = np.random.default_rng(n)
     for ks in [(0, 1), (0, 1, 2), (2, 3), (1,)]:
         for r in (len(ks), len(ks) + 1, 2 * len(ks)):  # w-halves, a full state first, full states
@@ -357,7 +354,7 @@ def test_premixed_cache_keeps_premix_slots_entries(monkeypatch):
     # A solve uses at most PREMIX_SLOTS keys, all in its first step, so no
     # later step gathers one again
     spec = load_preset("wave1").spec
-    prop = build_propagator(build_wave_operator(32, spec.ell), spec)
+    prop = build_propagator(build_operator("wave", 32, spec.ell), spec)
     lookups, table, step = [], prop.table, integrators._step_stacked
 
     def counted(*args):
@@ -385,7 +382,7 @@ def test_apply_is_its_matmul_and_broadcast_form_bit_for_bit(n):
     # stack's mix those of np.add.reduce(stack * spec[:, None], axis=0), which
     # adds the rows' terms in the per-term loop's order; both sums go back
     # through transform. Up to n = 50 every key here is premixed, above none
-    prop = build_propagator(build_wave_operator(n, 1.0),
+    prop = build_propagator(build_operator("wave", n, 1.0),
                             ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
     transform = prop.fact.transform
     rng = np.random.default_rng(n)
