@@ -54,7 +54,6 @@ class RunConfig:
     spec: dict = field(default_factory=dict)  # the ProblemSpec fields some layer set
     kind: str = "wave"
     N: int | None = None
-    n_from_flag: bool = False
     scheme: str | None = None
     c2: float | None = None
     schemes: list | None = None
@@ -207,7 +206,8 @@ def _read_config_file(path: str) -> dict:
 
 def resolve_config(args) -> RunConfig:
     """Preset, then config file, then flags, each layer overriding the one before."""
-    file = _read_config_file(args.config) if args.config else {}
+    path = getattr(args, "config", None)  # oracle-check takes --N alone
+    file = _read_config_file(path) if path else {}
     flags = _parse_layer({key: value for key, value in vars(args).items() if key in FIELDS},
                          lambda key: f"flag {OPTIONS[key][0]}")
     # the preset names the lowest layer, so it leaves both dicts: --preset first
@@ -216,7 +216,7 @@ def resolve_config(args) -> RunConfig:
     merged.update(file)
     merged.update(flags)
     spec = {key: merged.pop(key) for key in SPEC_KEYS if key in merged}
-    return RunConfig(spec=spec, **merged, n_from_flag="N" in flags)
+    return RunConfig(spec=spec, **merged)
 
 
 def _check_writable(path: str) -> None:
@@ -339,7 +339,7 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    sizes = (cfg.N,) if cfg.n_from_flag else (4, 8, 16)
+    sizes = (4, 8, 16) if cfg.N is None else (cfg.N,)
     for n in sizes:
         if n > ASSEMBLE_MAX_N:
             raise OracleScaleError(f"oracle check capped at n = {ASSEMBLE_MAX_N}, got {n}")
@@ -374,8 +374,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-# Every subcommand's options, by argparse dest: the flag, the one place it is
+# The subcommands' options, by argparse dest: the flag, the one place it is
 # spelled, and its add_argument keywords. A dest in FIELDS is a config key.
+# oracle-check reads no config, so it takes --N alone and refuses the rest.
 OPTIONS = {
     "config": ("--config", dict(metavar="PATH", help="JSON config file")),
     "preset": ("--preset", dict(metavar="ID", help="named experiment preset")),
@@ -398,14 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Damped wave / beam solver built on exact mode-block matrix functions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "run one preset or config and write the final state as CSV"),
-        ("converge", "run a convergence study over a list of step counts"),
-        ("modes", "dump per-mode discriminant diagnostics as CSV"),
-        ("oracle-check", "compare the block path against the dense oracle"),
+    for name, dests, help_text in (
+        ("solve", OPTIONS, "run one preset or config and write the final state as CSV"),
+        ("converge", OPTIONS, "run a convergence study over a list of step counts"),
+        ("modes", OPTIONS, "dump per-mode discriminant diagnostics as CSV"),
+        ("oracle-check", ("N",), "compare the block path against the dense oracle"),
     ):
         p = sub.add_parser(name, help=help_text)
-        for dest, (flag, kwargs) in OPTIONS.items():
+        for dest in dests:
+            flag, kwargs = OPTIONS[dest]
             p.add_argument(flag, dest=dest, **kwargs)
     return parser
 

@@ -19,18 +19,18 @@ Ostermann, SIAM J. Numer. Anal. 43, 2005), with D_j = F(Y_j) - F(y_n):
 and y_next alike at c = 1 with the b_i. Every row at node c_i shares the
 first two terms, the node's base, so each stage and the update make one
 combination apply (Hochbruck & Ostermann, Acta Numerica 19, 2010, write the
-schemes in this form). The first row at a node computes its base and its
-D-terms together, ``apply_stacked((0, 1, *orders), c_i tau, rows)`` on the
-rows of y_n, c_i tau F(y_n) and one weighted sum tau * sum_j w_j D_j per
-order. A later row at the same node adds to the previous one the apply of
-the difference of their D-weights; a zero difference makes no apply.
+schemes in this form). A row starts its node with the base and its D-terms
+together, ``apply_stacked((0, 1, *orders), c_i tau, rows)`` on the rows of
+y_n, c_i tau F(y_n) and one weighted sum tau * sum_j w_j D_j per order. A
+row right after one at the same node continues it instead: it adds the apply
+of the difference of their D-weights.
 
-F comes as its w-half f, an (n,) array with F = (0, f), as
-``forcing_from_spec`` returns it, so each of its terms is one input row
-(``BlockPropagator.apply_stacked``); a full stacked (2n,) F is two. The
-nodes, c*tau, the tau-scaled weights and the input rows each row fills in
-place are one plan per solve, sized by F(y_0), whose shape every later F must
-keep; all steps run under one np.errstate.
+The equations are second order in time, so F = (0, f), and F comes as its
+w-half f, an (n,) array, as ``forcing_from_spec`` returns it: each of its
+terms is one input row (``BlockPropagator.apply_stacked``), and any other
+shape ends the solve in a DimensionMismatchError that names the forcing. The
+c*tau, the tau-scaled weights and the input rows each row fills in place are
+one plan per solve, made from n; all steps run under one np.errstate.
 """
 
 from __future__ import annotations
@@ -172,89 +172,85 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     return tab
 
 
-def _plan_rows(tableau: SchemeTableau, tau: float, n: int, size: int) -> list:
-    """(c, c*tau, first, orders, weights, *buffers, seen, target) per stage 2..s and update.
+def _plan_rows(tableau: SchemeTableau, tau: float, n: int) -> list:
+    """(c*tau, first, orders, weights, *buffers, seen, target) per stage 2..s and update.
 
-    Column 1 of every row is in its node's base. ``first`` marks the first
-    row at its node c, whose orders start with the base's (0, 1). A later
-    row at c holds the difference between its D-weights and those of the
-    previous row at c. weights[o, j - 2] is tau times the weight of
+    Column 1 of every row is in its node's base. ``first`` marks a row that
+    starts its node, whose orders start with the base's (0, 1); a row right
+    after one at the same node c continues it and holds the difference
+    between their D-weights. weights[o, j - 2] is tau times the weight of
     phi_{orders[o]} on D_j, over the D_j the row can see; orders whose
-    weights all vanish are left out. For an F of ``size``, the buffers are
-    the row's (r, n) inputs and their flat parts: y_in and f_in, which take
-    y and c*tau*F(y) at a node's first row only, and d_in, its D-sums. All
-    rows share one D_j array: ``seen`` is its view of the D_j the row sums,
-    and ``target`` the row where stage i + 2 puts its D_j, None at the update.
+    weights all vanish are left out. The buffers are the row's (r, n) inputs
+    and their flat parts: y_in and f_in, which take y and c*tau*F(y) in a
+    first row only, and d_in, its D-sums. All rows share one D_j array:
+    ``seen`` is its view of the D_j the row sums, and ``target`` the row where
+    stage i + 2 puts its D_j, None at the update.
     """
-    plan, last = [], {}
+    plan, node, prev = [], None, {}
     rows = [*zip(tableau.c[1:], tableau.a[1:]), (1.0, tableau.b)]
-    diffs = np.empty((len(rows) - 1, size))
+    diffs = np.empty((len(rows) - 1, n))
     for i, (c, combos) in enumerate(rows):
         weights = {}  # (k, j): weight of phi_k on D_j, over columns j >= 2
         for j, combo in enumerate(combos[1:], start=2):
             for k, w in combo:
                 weights[k, j] = weights.get((k, j), 0.0) + w
-        first, prev = c not in last, last.get(c, {})
-        last[c] = weights
+        first = c != node
+        if first:
+            prev = {}
         delta = {key: weights.get(key, 0.0) - prev.get(key, 0.0) for key in weights | prev}
         delta = {key: w for key, w in delta.items() if w != 0.0}
+        node, prev = c, weights
         orders = sorted({k for k, _ in delta})
         mat = np.zeros((len(orders), i))
         for (k, j), w in delta.items():
             mat[orders.index(k), j - 2] = tau * w
-        head = 2 * n + size if first else 0
-        flat = np.empty(head + len(orders) * size)
-        parts = flat[: 2 * n], flat[2 * n : head], flat[head:].reshape(len(orders), size)
+        head = 3 * n if first else 0
+        flat = np.empty(head + len(orders) * n)
+        parts = flat[: 2 * n], flat[2 * n : head], flat[head:].reshape(len(orders), n)
         orders = (0, 1, *orders) if first else tuple(orders)
         target = diffs[i] if i < len(diffs) else None
         inputs = flat.reshape(-1, n)
-        plan.append((c, c * tau, first, orders, mat, inputs, *parts, diffs[:i], target))
+        plan.append((c * tau, first, orders, mat, inputs, *parts, diffs[:i], target))
     return plan
 
 
 def _step_stacked(prop, plan, forcing, y, f0, zeros):
     """One step from y and f0 = F(y), one apply per row of the solve's one plan.
 
-    The first row at a node is its base and its D-terms in one combination
-    apply; a later row adds the apply of its weight difference to the
-    previous row at that node (see ``_plan_rows``), whose arrays fit f0's
-    shape, as each stage's F must. Each row is checked by its dot with
+    A first row is its node's base and its D-terms in one combination apply;
+    a continuing row adds the apply of its weight difference to the row
+    before it (see ``_plan_rows``). Each row is checked by its dot with
     ``zeros``, a zero vector of y's size, which is NaN exactly when the row
     holds an inf or a NaN. Runs under the caller's np.errstate. No array
     ``forcing`` returns is written to, so it may return one constant array
     on every call; but F(y) is held through the step, so it may not refill one.
     """
-    last = {}  # node -> the previous row there, never written to
-    for i, row in enumerate(plan):
-        c, t, first, orders, weights, inputs, y_in, f_in, d_in, seen, target = row
+    for i, (t, first, orders, weights, inputs, y_in, f_in, d_in, seen, target) in enumerate(plan):
         if weights.size:
             weights.dot(seen, out=d_in)
         if first:
             y_in[...] = y
             np.multiply(f0, t, out=f_in)
             yi = prop.apply_stacked(orders, t, inputs)
-        elif orders:
-            yi = last[c] + prop.apply_stacked(orders, t, inputs)
         else:
-            yi = last[c]
-        last[c] = yi
+            yi = yi + prop.apply_stacked(orders, t, inputs)
         if math.isnan(yi.dot(zeros)):
             where = "the step update" if target is None else f"stage {i + 2}"
             raise InstabilityError(f"non-finite values in {where}")
         if target is not None:
             fi = forcing(yi)
             if fi.shape != f0.shape:
-                _check_forcing(forcing, fi, [f0.shape], i + 2)
+                _check_forcing(forcing, fi, f0.shape, i + 2)
             np.subtract(fi, f0, out=target)
     return yi
 
 
-def _check_forcing(forcing, f, shapes, stage):
-    """Raise unless f, the value of ``forcing`` at ``stage`` of a step, has a shape in shapes."""
-    if f.shape not in shapes:
+def _check_forcing(forcing, f, shape, stage):
+    """Raise unless f, the value of ``forcing`` at ``stage`` of a step, has the w-half's shape."""
+    if f.shape != shape:
         raise DimensionMismatchError(
             f"forcing {getattr(forcing, '__name__', forcing)!r} returned shape {f.shape} "
-            f"at stage {stage}, not {' or '.join(map(str, shapes))}"
+            f"at stage {stage}, not {shape}"
         )
 
 
@@ -275,10 +271,9 @@ def solve(
 
     With ``snapshot_every`` = K the state is also kept after every K-th
     step. M and K must be positive integers; anything else is a ConfigError.
-    ``forcing`` maps the stacked (2n,) state to the source F(y): either its
-    w-half alone, an (n,) array for F = (0, f), as ``forcing_from_spec``
-    returns, or the full stacked (2n,) F, in the shape of F(y_0) on every
-    call. An array it returns must keep its values through the step:
+    ``forcing`` maps the stacked (2n,) state y to the w-half f of the
+    source F(y) = (0, f), an (n,) array, as ``forcing_from_spec`` returns
+    it. An array it returns must keep its values through the step:
     ``forcing`` may not refill one buffer.
     """
     _check_count("step count M", M)
@@ -296,15 +291,11 @@ def solve(
     # blow-ups surface as InstabilityError, so numpy's own overflow
     # warnings on the way there are suppressed
     with np.errstate(over="ignore", invalid="ignore"):
-        # F(y_0) sizes the one plan of the solve; every later F must match it
-        f = forcing(y)
-        _check_forcing(forcing, f, [(prop.n,), (2 * prop.n,)], 1)
-        plan, shape = _plan_rows(tableau, tau, prop.n, f.size), f.shape
+        plan, shape = _plan_rows(tableau, tau, prop.n), (prop.n,)
         for i in range(M):
-            if i:
-                f = forcing(y)
-                if f.shape != shape:
-                    _check_forcing(forcing, f, [shape], 1)
+            f = forcing(y)
+            if f.shape != shape:
+                _check_forcing(forcing, f, shape, 1)
             try:
                 y = _step_stacked(prop, plan, forcing, y, f, zeros)
             except InstabilityError as exc:

@@ -38,12 +38,11 @@ from .errors import (
     OracleScaleError,
 )
 from .integrators import SchemeTableau, SolveResult, SolveStats, solve
-from .modefuncs import CASE_NAMES, ModeParams
+from .modefuncs import CASE_NAMES, K_MAX, ModeParams
 from .propagator import BlockPropagator, build_propagator
 
 ASSEMBLE_MAX_N = 64
 EXPM_MAX_DIM = 128
-PHI_MAX_K = 4
 
 _EXPM_TAYLOR_TOL = 1e-20
 _EXPM_SCALE_TARGET = 0.5
@@ -104,8 +103,8 @@ def dense_phi(k: int, mt: np.ndarray) -> np.ndarray:
     mt is embedded with k nilpotent identity couplings; the top-right block
     of the exponential of the augmented matrix equals phi_k(mt).
     """
-    if not 0 <= k <= PHI_MAX_K:
-        raise OracleScaleError(f"dense phi supports k = 0..{PHI_MAX_K}, got {k}")
+    if not 0 <= k <= K_MAX:
+        raise OracleScaleError(f"dense phi supports k = 0..{K_MAX}, got {k}")
     mt = np.asarray(mt, dtype=float)
     if mt.ndim != 2 or mt.shape[0] != mt.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {mt.shape}")
@@ -214,8 +213,8 @@ def phi_action(op: GridOperator, spec: ProblemSpec, k: int, t: float, v: np.ndar
     import scipy.sparse as sp
     from scipy.sparse.linalg import expm_multiply
 
-    if not 0 <= k <= PHI_MAX_K:
-        raise OracleScaleError(f"phi action supports k = 0..{PHI_MAX_K}, got {k}")
+    if not 0 <= k <= K_MAX:
+        raise OracleScaleError(f"phi action supports k = 0..{K_MAX}, got {k}")
     d = 2 * op.n
     v = np.asarray(v, dtype=float)
     if v.shape != (d,):

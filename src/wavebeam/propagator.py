@@ -60,9 +60,9 @@ from .errors import DimensionMismatchError, InvalidDimensionError
 from .modefuncs import ModeParams, classify_mode, phi_block
 
 # Measured per step: a key whose premixed in-matrix has at most this many
-# entries, 2*r*n^2 for r input rows (240 KB; every key up to n = 50), steps no
-# slower through it than through a product with Q and the mix in mode space
-# (one thread; table in README).
+# entries, 2*r*n^2 for r input rows (240 KB; every key a step makes up to
+# n = 50, where r <= 4 gives at most 20 000), steps no slower through it than
+# through a product with Q and the mix in mode space (one thread; table in README).
 PREMIX_MAX = 30000
 # Premixed in-matrices held at once, the oldest dropped first: one solve of any
 # scheme uses at most 4 apply keys, all in its first step, so none is rebuilt.
@@ -113,14 +113,13 @@ class BlockPropagator:
         """sum_i phi_{k_i}(t*A) @ y_i on the stacked (u, w) layout, in one apply.
 
         ``k`` is a tuple of L orders and ``y`` one (r, n) array of grid
-        rows, laid out by r alone: L w-halves (r = L), a full state then
-        w-halves (r = L + 1) or L full states (r = 2L). A scalar k with one
-        (2n,) state or (n,) w-half, the source (0, y), is the one-term case,
-        on y's rows. All rows go to mode space in one product with Q, are
-        mixed and summed there by the cached (r, 2, n) stack of their table
-        columns, and one (2, n) product takes the sum back; up to PREMIX_MAX
-        entries, one product with the premixed in-matrix mixes and sums
-        them. A y that is not an array, such as a tuple of inputs, is a
+        rows, laid out by r alone: L w-halves (r = L), or one full state
+        then L - 1 w-halves (r = L + 1). A scalar k with one (2n,) state or
+        (n,) w-half, the source (0, y), is the one-term case, on y's rows.
+        All rows go to mode space in one product with Q, are mixed and
+        summed there by the cached (r, 2, n) stack of their table columns,
+        and one (2, n) product takes the sum back; up to PREMIX_MAX entries,
+        one product with the premixed in-matrix mixes and sums them. A y that is not an array, such as a tuple of inputs, is a
         DimensionMismatchError.
         """
         n = self.n
@@ -135,13 +134,13 @@ class BlockPropagator:
         key = (k, float(t), y.shape)
         mixer = self._tables.get(key)
         if mixer is None:  # a full input mixes by tab[:, 0], tab[:, 1]; a w-half by tab[:, 1]
-            if y.ndim != 2 or y.shape[1] != n or not k or len(y) - len(k) not in (0, 1, len(k)):
+            if y.ndim != 2 or y.shape[1] != n or not k or len(y) - len(k) not in (0, 1):
                 raise DimensionMismatchError(
-                    f"phi orders {k} need {len(k)}, {len(k) + 1} or {2 * len(k)} rows "
+                    f"phi orders {k} need {len(k)} or {len(k) + 1} rows "
                     f"of length {n}, got an array of shape {y.shape}"
                 )
             cols = []
-            for i, ki in enumerate(k):  # the first len(y) - len(k) inputs are full states
+            for i, ki in enumerate(k):  # with r = L + 1, the first input is a full state
                 tab = self.table(ki, t)
                 cols += (tab[:, 0], tab[:, 1]) if i < len(y) - len(k) else (tab[:, 1],)
             mixer = np.stack(cols)

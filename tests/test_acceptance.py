@@ -157,7 +157,7 @@ def test_c5_tableau_identities_and_constant_forcing():
     op = build_operator("wave", 24, spec.ell)
     prop = build_propagator(op, spec)
     rng = np.random.default_rng(17)
-    const = rng.standard_normal(2 * op.n)
+    const = rng.standard_normal(op.n)  # the w-half c of F = (0, c)
     y0 = initial_state(spec, op.n).stacked()
     exact = prop.apply_stacked(0, spec.T, y0) + spec.T * prop.apply_stacked(1, spec.T, const)
     worst = 0.0

@@ -297,6 +297,20 @@ class TestOracleCheck:
     def test_small_n_flag(self, capsys):
         assert main(["oracle-check", "--N", "6"]) == 0
 
+    @pytest.mark.parametrize("flags", [
+        ["--preset", "wave1"], ["--N", "4", "--preset", "beam1"], ["--config", "plate.json"],
+        ["--M", "4"], ["--T", "1"], ["--scheme", "EI-E1"], ["--out", "x.csv"],
+    ], ids=["preset", "N-preset", "config", "M", "T", "scheme", "out"])
+    def test_flags_other_than_n_are_refused(self, tmp_path, capsys, monkeypatch, flags):
+        # the suite reads n alone, so a value it would ignore is an error, not a pass
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "plate.json").write_text('{"kind": "plate", "N": 4}')
+        assert main(["oracle-check", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1, err
+        assert set(os.listdir(tmp_path)) == {"plate.json"}
+
     def test_oversized_n_rejected(self, capsys):
         assert main(["oracle-check", "--N", "128"]) != 0
         assert "capped" in capsys.readouterr().err
@@ -345,7 +359,7 @@ class TestConfigPrecedence:
 
     def test_every_key_reaches_its_field_and_every_flag_beats_the_file(self, tmp_path):
         assert set(EVERY_KEY) == set(FIELDS) - {"preset"}
-        run_fields = {f.name for f in fields(RunConfig)} - {"n_from_flag", "spec"}
+        run_fields = {f.name for f in fields(RunConfig)} - {"spec"}
         assert set(EVERY_KEY) == run_fields | set(SPEC_KEYS)
         path = write_config(tmp_path, {"preset": "wave1", **EVERY_KEY})
         got = resolve_config(build_parser().parse_args(["converge", "--config", path]))
@@ -355,14 +369,12 @@ class TestConfigPrecedence:
             assert value not in (field_value(RunConfig(), key), field_value(wave1, key)), key
         assert got.problem_spec() == ProblemSpec(**{key: EVERY_FIELD[key] for key in SPEC_KEYS})
         assert got.scheme_list() == [("EI-SW22", 0.4)]  # scheme beats schemes
-        assert not got.n_from_flag
 
         flags = ["--N", "14", "--T", "0.5", "--scheme", "EI-E1", "--c2", "0.9", "--M", "7",
                  "--M", "9", "--Mref", "70", "--out", "flag.csv", "--snapshots", "2"]
         got = resolve_config(build_parser().parse_args(["converge", "--config", path, *flags]))
         assert (got.N, got.spec["T"], got.scheme, got.c2, got.M, got.M_ref, got.out,
                 got.snapshots) == (14, 0.5, "EI-E1", 0.9, [7, 9], 70, "flag.csv", 2)
-        assert got.n_from_flag
         got = resolve_config(build_parser().parse_args(["converge", "--config", path,
                                                         "--preset", "beam1"]))
         assert got.N == 12  # the file still beats the flag's preset
@@ -384,7 +396,7 @@ class TestConfigPrecedence:
         from_file = resolve_config(build_parser().parse_args(["converge", "--config", path]))
         from_flags = resolve_config(build_parser().parse_args([
             "converge", "--preset", "wave1", "--N", "14.0", "--T", "0.5", "--M", "7", "--M", "9"]))
-        assert from_flags == dataclasses.replace(from_file, n_from_flag=True)
+        assert from_flags == from_file
         assert (from_flags.N, from_flags.spec["T"], from_flags.M) == (14, 0.5, [7, 9])
 
     def test_counts_are_read_exactly_above_2_53(self):

@@ -129,7 +129,7 @@ class TestStep:
         # weight consistency: one step reproduces e^{tau A} y0 + tau phi_1(tau A) c
         spec, op, prop = damped_wave_setup(g="zero")
         rng = np.random.default_rng(11)
-        const = rng.standard_normal(2 * op.n)
+        const = rng.standard_normal(op.n)  # the w-half c of F = (0, c)
 
         def forcing(_y):
             return const
@@ -245,14 +245,14 @@ def test_step_matches_unshared_evaluation(name, c2, n, h):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("name,c2", [("EI-SW4", None), ("EI-SW22", 0.75)])
-@pytest.mark.parametrize("halves", [1, 2], ids=["w-half", "stacked"])
-def test_shared_forcing_array_left_unchanged(name, c2, halves):
+@pytest.mark.parametrize("name,c2", [("EI-SW4", None), ("EI-SW22", 0.75)],
+                         ids=["w-half-EI-SW4-None", "w-half-EI-SW22-0.75"])
+def test_shared_forcing_array_left_unchanged(name, c2):
     # a forcing that returns one array on every call, as C5's constant one
     # does, must come back bit for bit: the step may add in place only into
     # arrays it made itself
     spec, op, prop = damped_wave_setup(g="zero")
-    const = np.random.default_rng(5).standard_normal(halves * op.n)
+    const = np.random.default_rng(5).standard_normal(op.n)
     kept = const.copy()
     with np.errstate(over="warn", invalid="warn"):
         errors = np.geterr()
@@ -261,13 +261,16 @@ def test_shared_forcing_array_left_unchanged(name, c2, halves):
     assert np.array_equal(const, kept)
 
 
-@pytest.mark.parametrize("shapes", [[(9,)], [(1, 8)], [(8,), (16,)], [(8,)] * 4 + [(16,)]],
-                         ids=["n+1", "1xn", "flip", "step-flip"])
-def test_forcing_of_wrong_shape_is_named(shapes):
-    # F(y_0) fixes the shape of the solve's one plan, and every later F, at a
-    # step's start (step-flip: EI-K4's four calls of step 1 give (8,), step 2
-    # starts with (16,)) or at a stage (flip), is checked against it before
-    # the step fills its input rows with it
+@pytest.mark.parametrize(
+    "shapes,stage",
+    [([(9,)], 1), ([(1, 8)], 1), ([(16,)], 1), ([(8,), (16,)], 2), ([(8,)] * 4 + [(16,)], 1)],
+    ids=["n+1", "1xn", "stacked", "flip", "step-flip"],
+)
+def test_forcing_of_wrong_shape_is_named(shapes, stage):
+    # a forcing returns the (n,) w-half f of F = (0, f), and nothing else:
+    # every F, at a step's start (stacked: the full (2n,) F(y_0); step-flip:
+    # EI-K4's four calls of step 1 give (8,), step 2 starts with (16,)) or at
+    # a stage (flip), is checked before the step fills its input rows with it
     spec, op, prop = damped_wave_setup(g="zero")
     assert op.n == 8
     calls = []
@@ -281,6 +284,7 @@ def test_forcing_of_wrong_shape_is_named(shapes):
     message = str(exc.value)
     assert message.startswith("forcing 'forcing' returned shape")
     assert str(shapes[-1]) in message and "(8,)" in message
+    assert f"at stage {stage}," in message
 
 
 def test_solve_restores_numpy_error_state_after_instability():

@@ -11,7 +11,6 @@ from wavebeam.discretize import (
     Profile,
     StateVector,
     build_operator,
-    nonlinearity,
 )
 from wavebeam.eigen import N_FOLD, factorize
 from wavebeam.errors import DimensionMismatchError, PhiOrderError
@@ -249,16 +248,12 @@ def test_combination_equals_sum_of_one_term_applies(n):
     op = build_operator("wave", n, 1.0)
     prop = build_propagator(op, ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
     rng = np.random.default_rng(n)
-    inputs = [rng.standard_normal(2 * n), rng.standard_normal(n), rng.standard_normal(n),
-              rng.standard_normal(2 * n), rng.standard_normal(n)]
-    for ks, ys in [((0, 1), inputs[:2]), ((0, 1, 2, 3, 4), inputs), ((2, 3), inputs[1:3]),
-                   ((4, 0, 4), inputs[2:5]), ((3,), inputs[3:4])]:
-        # grid rows: a full state then w-halves (r = L + 1), w-halves alone
-        # (r = L), or, where a full state follows a w-half, each w-half f
-        # written as the full state (0, f) (r = 2L)
-        full = any(y.size == 2 * n for y in ys[1:])
-        rows = np.concatenate([np.concatenate((np.zeros(n), y)) if full and y.size == n else y
-                               for y in ys]).reshape(-1, n)
+    full = [rng.standard_normal(2 * n) for _ in range(2)]
+    halves = [rng.standard_normal(n) for _ in range(4)]
+    for ks, ys in [((0, 1), [full[0], halves[0]]), ((0, 1, 2, 3, 4), [full[0], *halves]),
+                   ((2, 3), halves[:2]), ((4, 0, 4), [full[1], *halves[2:]]), ((3,), full[1:])]:
+        # grid rows: a full state then w-halves (r = L + 1), or w-halves alone (r = L)
+        rows = np.concatenate(ys).reshape(-1, n)
         applies = prop.applies
         got = prop.apply_stacked(ks, 0.03, rows)
         assert prop.applies == applies + 1
@@ -295,13 +290,11 @@ def test_rows_form_equals_sum_of_one_term_applies(n, monkeypatch):
     monkeypatch.setattr(
         prop, "apply_stacked", lambda k, t, y: calls.append((k, t, y.copy())) or apply(k, t, y)
     )
-    g = nonlinearity("sin")
-    for forcing in (None, lambda y: np.concatenate((np.zeros(n), g(y[:n])))):
-        for name, c2 in STAGE_SCHEMES:
-            solve(prop, build_tableau(name, c2), spec, 1, forcing=forcing)
+    for name, c2 in STAGE_SCHEMES:
+        solve(prop, build_tableau(name, c2), spec, 1)
     layouts = set()
     for k, t, rows in calls:
-        full = len(rows) - len(k)  # the first `full` inputs are full states
+        full = len(rows) - len(k)  # 1 when the first input is a full state
         ys = tuple(rows[2 * i : 2 * i + 2].ravel() if i < full else rows[full + i]
                    for i in range(len(k)))
         got = apply(k, t, rows)
@@ -310,8 +303,8 @@ def test_rows_form_equals_sum_of_one_term_applies(n, monkeypatch):
         want = sum(apply(ki, t, yi) for ki, yi in zip(k, full_ys))
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= 1e-14, f"k={k}, {rows.shape}: {err:.2e}"
-        layouts.add(full if full < 2 else "2L")
-    assert layouts == {0, 1, "2L"}
+        layouts.add(full)
+    assert layouts == {0, 1}
 
 
 def test_rows_form_rejects_bad_shapes():
@@ -319,7 +312,7 @@ def test_rows_form_rejects_bad_shapes():
     prop = build_propagator(build_operator("wave", n, 1.0), ProblemSpec(alpha=1.0))
     for k, shape in [((0, 1), (1, n)), ((0, 1), (5, n)), ((0,), (3, n)), ((0, 1, 2), (5, n)),
                      ((0, 1), (3, n + 1)), ((0, 1), (3, n - 1)), ((0, 1), (2, 2, n)),
-                     ((0, 1), (2 * n,)), ((), (0, n))]:
+                     ((0, 1), (2 * n,)), ((), (0, n)), ((0, 1), (4, n)), ((1, 2, 3), (6, n))]:
         with pytest.raises(DimensionMismatchError):
             prop.apply_stacked(k, 0.03, np.zeros(shape))
     prop.apply_stacked((0, 1), 0.03, np.zeros((3, n)))  # cached now, and still checked by shape
@@ -336,7 +329,7 @@ def test_premixed_apply_matches_the_mixing_stack(n, monkeypatch):
     premixed = build_propagator(build_operator("wave", n, 1.0), spec)
     rng = np.random.default_rng(n)
     for ks in [(0, 1), (0, 1, 2), (2, 3), (1,)]:
-        for r in (len(ks), len(ks) + 1, 2 * len(ks)):  # w-halves, a full state first, full states
+        for r in (len(ks), len(ks) + 1):  # w-halves, a full state first
             rows, key = rng.standard_normal((r, n)), (ks, 0.03, (r, n))
             monkeypatch.setattr(propagator, "PREMIX_MAX", 0)
             want = stacks.apply_stacked(ks, 0.03, rows)
@@ -386,7 +379,7 @@ def test_apply_is_its_matmul_and_broadcast_form_bit_for_bit(n):
                             ProblemSpec(alpha=1.0, beta=1e-3, gamma=0.5, delta=0.2))
     transform = prop.fact.transform
     rng = np.random.default_rng(n)
-    for ks, r in [((1,), 1), ((0, 1), 2), ((0, 1), 3), ((0, 1, 2), 4), ((0, 1), 4)]:
+    for ks, r in [((1,), 1), ((0, 1), 2), ((0, 1), 3), ((0, 1, 2), 4)]:
         rows = rng.standard_normal((r, n))
         got = prop.apply_stacked(ks, 0.03, rows)
         mixer = prop._tables[ks, 0.03, (r, n)]
