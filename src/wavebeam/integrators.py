@@ -177,8 +177,8 @@ def _plan_rows(tableau: SchemeTableau, tau: float, n: int) -> list:
 
     Column 1 of every row is in its node's base. ``first`` marks a row that
     starts its node, whose orders start with the base's (0, 1); a row right
-    after one at the same node c continues it and holds the difference
-    between their D-weights. weights[o, j - 2] is tau times the weight of
+    after one at the same node c, with other D-weights, continues it and
+    holds the difference between their D-weights. weights[o, j - 2] is tau times the weight of
     phi_{orders[o]} on D_j, over the D_j the row can see; orders whose
     weights all vanish are left out. The buffers are the row's (r, n) inputs
     and their flat parts: y_in and f_in, which take y and c*tau*F(y) in a
@@ -194,10 +194,12 @@ def _plan_rows(tableau: SchemeTableau, tau: float, n: int) -> list:
         for j, combo in enumerate(combos[1:], start=2):
             for k, w in combo:
                 weights[k, j] = weights.get((k, j), 0.0) + w
-        first = c != node
-        if first:
-            prev = {}
         delta = {key: weights.get(key, 0.0) - prev.get(key, 0.0) for key in weights | prev}
+        # a row with the D-weights of the one before it (none of the five
+        # schemes has one) would add nothing, so it starts its node again
+        first = c != node or not any(delta.values())
+        if first:
+            delta = weights
         delta = {key: w for key, w in delta.items() if w != 0.0}
         node, prev = c, weights
         orders = sorted({k for k, _ in delta})

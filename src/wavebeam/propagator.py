@@ -119,7 +119,8 @@ class BlockPropagator:
         All rows go to mode space in one product with Q, are mixed and
         summed there by the cached (r, 2, n) stack of their table columns,
         and one (2, n) product takes the sum back; up to PREMIX_MAX entries,
-        one product with the premixed in-matrix mixes and sums them. A y that is not an array, such as a tuple of inputs, is a
+        one product with the premixed in-matrix mixes and sums them. A y
+        that is not an array, such as a tuple of inputs, is a
         DimensionMismatchError.
         """
         n = self.n

@@ -245,6 +245,20 @@ def test_step_matches_unshared_evaluation(name, c2, n, h):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_row_repeating_the_one_before_it_starts_its_node_again():
+    # a hand-built tableau whose stage 3 repeats stage 2 at node 1/2: there
+    # is no D-weight difference to continue with, so the row is computed in full
+    spec, op, prop = damped_wave_setup(n=12, g="sin")
+    k4 = build_tableau("EI-K4")
+    tab = integrators.SchemeTableau("twin", k4.c, (*k4.a[:2], (((1, 0.5),), ()), k4.a[3]), k4.b)
+    tau = 0.23
+    applies = prop.applies
+    got = one_step(prop, tab, spec, tau).stacked()
+    assert prop.applies == applies + tab.s
+    want = unshared_step(prop, tab, spec, tau, initial_state(spec, op.n).stacked())
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("name,c2", [("EI-SW4", None), ("EI-SW22", 0.75)],
                          ids=["w-half-EI-SW4-None", "w-half-EI-SW22-0.75"])
 def test_shared_forcing_array_left_unchanged(name, c2):
