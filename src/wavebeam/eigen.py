@@ -32,6 +32,9 @@ from .errors import InvalidDimensionError
 # products and the fold's O(n) passes cost about what they save.
 N_FOLD = 304
 
+# Q, the fold blocks and a lazily built q start on a cache line of this many bytes
+ALIGN = 64
+
 
 @dataclass(frozen=True)
 class SpectralFactorization:
@@ -74,9 +77,24 @@ class SpectralFactorization:
         return y
 
 
+def _aligned_empty(rows: int, cols: int) -> np.ndarray:
+    """A C-ordered float64 (rows, cols) array whose data starts on a 64-byte boundary.
+
+    glibc maps an allocation above 128 KB 16 bytes past a page boundary, so
+    numpy's own n^2 arrays of that size start at 16 mod 64 and every 64-byte
+    load of a BLAS kernel spans two cache lines. Over-allocating by one line and
+    slicing to its boundary keeps the array contiguous, so the products hand
+    BLAS the same layout and give the same bits (table in README).
+    """
+    nbytes = 8 * rows * cols
+    buf = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -buf.ctypes.data % ALIGN
+    return buf[start : start + nbytes].view(np.float64).reshape(rows, cols)
+
+
 def _allocate(n: int, what: str, *shapes) -> list:
     try:
-        return [np.empty(shape) for shape in shapes]
+        return [_aligned_empty(*shape) for shape in shapes]
     except (MemoryError, ValueError):  # numpy raises ValueError above 2^63 bytes
         nbytes = 8 * sum(rows * cols for rows, cols in shapes)
         raise InvalidDimensionError(
@@ -107,9 +125,11 @@ def _dst_matrix(n: int) -> np.ndarray:
     (q,) = _allocate(n, f"a dense {n} x {n} eigenvector matrix", (n, n))
     j = np.arange(1, n + 1)
     _gather(n, j, j, q)
-    # q is exactly symmetric, so its transpose is the same matrix; as that
-    # free Fortran-ordered view, the (2, n) products of ``transform`` with q run
-    # 1.2x faster at n = 600 than on the C-ordered array (OpenBLAS, 1 thread)
+    # q is exactly symmetric, so its transpose is the same matrix, and
+    # ``transform`` multiplies by that free Fortran-ordered view. Both aligned,
+    # at n = 200 the C-ordered array took 0.72-1.17x the view's time per (r, n)
+    # product (r = 1-4) and 0.81-0.97x per EI-SW4 step (OpenBLAS, 1 thread, three
+    # runs), but it is a different BLAS call with other bits, so the view stays
     return q.T
 
 

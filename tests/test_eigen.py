@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wavebeam.discretize import KINDS, ProblemSpec, StateVector, build_operator, grid_points
-from wavebeam.eigen import N_FOLD, factorize
+from wavebeam.eigen import N_FOLD, SpectralFactorization, factorize
 from wavebeam.integrators import build_tableau, solve
 from wavebeam.modefuncs import classify_mode, phi_block
 from wavebeam.oracles import stencil
@@ -143,6 +143,37 @@ def test_transform_is_the_matmul_bit_for_bit(n, r):
     for x in (rng.standard_normal((r, n)), rng.standard_normal(n)):
         want = x @ fact.dense if fact.dense is not None else matmul_fold(fact, x)
         assert fact.transform(x).tobytes() == want.tobytes()
+
+
+def placed_at(a, offset):
+    # a copy of the Fortran-ordered view a whose data starts at offset mod 64
+    c = np.ascontiguousarray(a.T)
+    buf = np.empty(c.nbytes + 64, dtype=np.uint8)
+    start = (offset - buf.ctypes.data) % 64
+    out = buf[start : start + c.nbytes].view(np.float64).reshape(c.shape)
+    out[...] = c
+    assert out.ctypes.data % 64 == offset
+    return out.T
+
+
+@pytest.mark.parametrize("n", [8, 50, 200, N_FOLD - 1, N_FOLD, 601])
+def test_operator_storage_is_cache_line_aligned(n):
+    # numpy's own n^2 arrays start 16 bytes past a page boundary; factorize
+    # places Q, both fold blocks and a lazily built q on a 64-byte boundary
+    fact = factorize(build_operator("wave", n, 1.0))
+    held = [fact.dense] if fact.dense is not None else list(fact.fold)
+    assert (len(held) == 1) == (n < N_FOLD)
+    for a in [*held, fact.q]:
+        assert a.ctypes.data % 64 == 0 and a.flags.f_contiguous
+    # alignment moves time, not bits: copies at 16 mod 64 give the same bytes
+    if fact.dense is not None:
+        misaligned = SpectralFactorization(fact.lam, placed_at(fact.dense, 16), ())
+    else:
+        misaligned = SpectralFactorization(fact.lam, None, tuple(placed_at(b, 16) for b in fact.fold))
+    rng = np.random.default_rng(7 * n)
+    for r in (1, 2, 3, 4):
+        for x in (rng.standard_normal((r, n)), rng.standard_normal(n)):
+            assert fact.transform(x).tobytes() == misaligned.transform(x).tobytes()
 
 
 def test_folded_solve_never_builds_q():
