@@ -39,7 +39,6 @@ from .oracles import (
     apply_undamped_reference,
     assemble_dense_A,
     block_oracle_suite,
-    dense_expm,
     dense_phi,
     discrete_l2_error,
     merged_damping_solve,

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field, fields
 from itertools import chain, repeat
 
 from .discretize import Profile, ProblemSpec, build_operator, grid_points
-from .errors import ConfigError, OracleScaleError, OutputWriteError, WaveBeamError
+from .errors import ConfigError, OutputWriteError, WaveBeamError
 from .integrators import build_tableau, solve
 from .modefuncs import CASE_NAMES
-from .oracles import ASSEMBLE_MAX_N, block_oracle_suite, discrete_l2_error, observed_order
+from .oracles import block_oracle_suite, discrete_l2_error, observed_order
 from .presets import load_preset
 from .propagator import build_propagator
 
@@ -82,6 +82,8 @@ class RunConfig:
     def scheme_list(self) -> list:
         if self.scheme is not None:
             return [(self.scheme, self.c2)]
+        if self.c2 is not None:  # a schemes list carries its own c2 per entry
+            raise ConfigError(f"c2 = {self.c2} goes with --scheme (or 'scheme'), and none is set")
         if self.schemes:
             return list(self.schemes)
         raise ConfigError("no scheme given (use --scheme, a preset, or a config 'schemes' list)")
@@ -339,15 +341,7 @@ def cmd_modes(cfg: RunConfig) -> int:
 
 
 def cmd_oracle_check(cfg: RunConfig) -> int:
-    sizes = (4, 8, 16) if cfg.N is None else (cfg.N,)
-    for n in sizes:
-        if n > ASSEMBLE_MAX_N:
-            raise OracleScaleError(f"oracle check capped at n = {ASSEMBLE_MAX_N}, got {n}")
-    rows, cases_seen = block_oracle_suite(sizes=sizes)
-    worst: dict[tuple, float] = {}
-    for kind, regime, n, _t, _k, err in rows:
-        key = (kind, regime, n)
-        worst[key] = max(worst.get(key, 0.0), err)
+    worst, cases_seen = block_oracle_suite() if cfg.N is None else block_oracle_suite((cfg.N,))
     for (kind, regime, n), err in sorted(worst.items()):
         status = "ok" if err <= ORACLE_TOL else "FAIL"
         print(f"{kind:5s} {regime:12s} n={n:<3d} max_rel_err={err:.3e} {status}")

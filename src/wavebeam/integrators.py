@@ -104,7 +104,7 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
     """Coefficient table for one of the five schemes.
 
     EI-SW21 and EI-SW22 take their free node c2 in (0, 1], with 1/c2
-    finite; the other schemes ignore it.
+    finite; the other schemes have fixed nodes and refuse a c2.
     """
     key = name.upper()
     if not key.startswith("EI-"):
@@ -117,6 +117,8 @@ def build_tableau(name: str, c2: float | None = None) -> SchemeTableau:
         # a subnormal c2 passes the range check, but its weights 1/c2 overflow
         if not (0.0 < c2 <= 1.0 and math.isfinite(1.0 / float(c2))):
             raise ConfigError(f"{key} needs c2 in (0, 1] with a finite 1/c2, got {c2}")
+    elif c2 is not None:
+        raise ConfigError(f"{key} has fixed nodes and takes no c2, got c2 = {c2}")
 
     if key == "EI-E1":
         tab = SchemeTableau(key, (0.0,), ((),), (((1, 1.0),),))

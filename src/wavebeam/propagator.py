@@ -157,10 +157,7 @@ class BlockPropagator:
         self.applies += 1
         if mixer.ndim == 2:  # premixed: P mixes and sums the rows in the product in
             return transform(y.reshape(-1).dot(mixer).reshape(2, n)).reshape(2 * n)
-        # a lone row stays a vector: through the fold, a one-row matrix
-        # product takes 2x the time of the same vector product at n = 600
-        spec = transform(y[0])[np.newaxis] if len(y) == 1 else transform(y)
-        return transform(np.einsum("icj,ij->cj", mixer, spec)).reshape(2 * n)
+        return transform(np.einsum("icj,ij->cj", mixer, transform(y))).reshape(2 * n)
 
 
 def build_propagator(

@@ -53,16 +53,16 @@ def desk_setup(preset_id, kind, n, T):
 def test_c1_oracle_equivalence():
     """Block path equals the dense oracle on the full (kind, n, t, k) grid."""
     start = time.perf_counter()
-    rows, cases_seen = block_oracle_suite(sizes=(4, 8, 16), ts=(0.01, 0.1, 1.0), ks=(0, 1, 2, 3))
+    worst, cases_seen = block_oracle_suite(sizes=(4, 8, 16))
     elapsed = time.perf_counter() - start
-    worst = max(r[-1] for r in rows)
+    worst_err = float(np.max(list(worst.values())))  # np.max keeps a NaN cell
     ok = (
-        worst <= ORACLE_TOL
+        worst_err <= ORACLE_TOL
         and cases_seen == {"real_distinct", "double_root", "complex_pair"}
         and elapsed < 10.0
     )
-    report(1, ok, f"max relative error {worst:.3e} over {len(rows)} combos, "
-                  f"cases {sorted(cases_seen)}, {elapsed:.1f}s")
+    report(1, ok, f"max relative error {worst_err:.3e} over {len(worst)} (kind, regime, n) "
+                  f"cells, cases {sorted(cases_seen)}, {elapsed:.1f}s")
 
 
 def test_c2_convergence_orders():

@@ -311,9 +311,13 @@ class TestOracleCheck:
         assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1, err
         assert set(os.listdir(tmp_path)) == {"plate.json"}
 
-    def test_oversized_n_rejected(self, capsys):
-        assert main(["oracle-check", "--N", "128"]) != 0
-        assert "capped" in capsys.readouterr().err
+    def test_oversized_n_rejected(self, capsys, monkeypatch):
+        import wavebeam.oracles as oracles
+
+        monkeypatch.setattr(oracles, "factorize", lambda _op: pytest.fail("factorized past the cap"))
+        assert main(["oracle-check", "--N", "128"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: oracle check capped at n = 64, got 128\n"
 
     def test_detects_sign_mutation(self, monkeypatch, capsys):
         # sensitivity check: a flipped sign in the complex-pair block must
@@ -515,6 +519,26 @@ def test_bad_input_is_one_error_line(tmp_path, capsys, monkeypatch, args, config
     assert main(args[:1] + ["--out", str(tmp_path / "x.csv")] + args[1:]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert set(os.listdir(tmp_path)) <= {"config.json"}
+
+
+@pytest.mark.parametrize("args, config", [
+    (["converge", "--preset", "wave1", "--N", "16", "--T", "0.25", "--c2", "0.3",
+      "--M", "8", "--M", "16", "--M", "32", "--Mref", "256"], None),
+    (CONVERGE, {**LINEAR_CONFIG, "schemes": ["EI-K4"], "c2": 0.3}),
+    (["solve", "--preset", "wave1", "--N", "16", "--scheme", "EI-K4", "--c2", "0.3",
+      "--M", "8"], None),
+    (CONVERGE, {**LINEAR_CONFIG, "scheme": "EI-E1", "ref_c2": 0.5}),
+], ids=["flag-without-scheme", "file-next-to-schemes", "fixed-node-scheme", "ref-c2-sw4"])
+def test_c2_that_no_scheme_reads_is_one_error_line(tmp_path, capsys, monkeypatch, args, config):
+    # a c2 that would be dropped silently runs another study than the one asked for
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        args = args + ["--config", write_config(tmp_path, config)]
+    assert main(args) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "c2" in err
     assert set(os.listdir(tmp_path)) <= {"config.json"}
 
 

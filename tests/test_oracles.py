@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from wavebeam.discretize import ProblemSpec, build_operator, sample_profile
+from wavebeam import oracles
+from wavebeam.discretize import KINDS, ProblemSpec, build_operator, sample_profile
 from wavebeam.errors import (
     DimensionMismatchError,
     InsufficientPointsError,
@@ -15,7 +16,7 @@ from wavebeam.errors import (
 from wavebeam.modefuncs import classify_mode
 from wavebeam.oracles import (
     assemble_dense_A,
-    dense_expm,
+    block_oracle_suite,
     dense_phi,
     discrete_l2_error,
     mode_matrix,
@@ -63,28 +64,60 @@ class TestAssemble:
 
 
 class TestDenseExpm:
+    """The dense exponential, dense_phi(0, .)."""
+
     def test_zero_matrix(self):
-        assert np.array_equal(dense_expm(np.zeros((3, 3))), np.eye(3))
+        assert np.array_equal(dense_phi(0, np.zeros((3, 3))), np.eye(3))
 
     def test_diagonal(self):
-        got = dense_expm(np.diag([1.0, -2.0]))
+        got = dense_phi(0, np.diag([1.0, -2.0]))
         assert np.allclose(got, np.diag([math.e, math.exp(-2.0)]), rtol=1e-14)
 
     def test_nilpotent(self):
         t = 0.7
-        got = dense_expm(np.array([[0.0, t], [0.0, 0.0]]))
+        got = dense_phi(0, np.array([[0.0, t], [0.0, 0.0]]))
         assert np.allclose(got, [[1.0, t], [0.0, 1.0]], rtol=1e-15)
 
     def test_semigroup(self):
         rng = np.random.default_rng(9)
         m = rng.standard_normal((6, 6))
-        lhs = dense_expm(m) @ dense_expm(m)
-        rhs = dense_expm(2.0 * m)
+        lhs = dense_phi(0, m) @ dense_phi(0, m)
+        rhs = dense_phi(0, 2.0 * m)
         assert np.max(np.abs(lhs - rhs)) <= 1e-11 * np.max(np.abs(rhs))
 
     def test_dimension_cap(self):
         with pytest.raises(OracleScaleError):
-            dense_expm(np.zeros((129, 129)))
+            dense_phi(0, np.zeros((129, 129)))
+
+
+class TestBlockOracleSuite:
+    def test_one_cell_per_kind_regime_and_n(self):
+        worst, cases_seen = block_oracle_suite((4,))
+        regimes = ("oscillatory", "overdamped", "critical")
+        assert set(worst) == {(kind, regime, 4) for kind in KINDS for regime in regimes}
+        assert all(err <= 1e-10 for err in worst.values())
+        assert cases_seen == {"complex_pair", "real_distinct", "double_root"}
+
+    def test_cap_refused_before_any_factorization(self, monkeypatch):
+        def refuse(_op):
+            raise AssertionError("factorize called past the cap")
+
+        monkeypatch.setattr(oracles, "factorize", refuse)
+        with pytest.raises(OracleScaleError, match="oracle check capped at n = 64, got 65"):
+            block_oracle_suite((4, 65))
+
+    def test_nan_from_the_block_path_fails_its_cell(self, monkeypatch):
+        # max() skips a NaN that follows a number; the suite must not
+        import wavebeam.propagator as propagator
+        from wavebeam.modefuncs import phi_block
+
+        def nan_at_k3(k, t, modes):
+            tab = phi_block(k, t, modes)
+            return np.full_like(tab, np.nan) if k == 3 else tab
+
+        monkeypatch.setattr(propagator, "phi_block", nan_at_k3)
+        worst, _ = block_oracle_suite((4,))
+        assert all(math.isnan(err) for err in worst.values())
 
 
 class TestDensePhi:

@@ -387,6 +387,5 @@ def test_apply_is_its_matmul_and_broadcast_form_bit_for_bit(n):
         if mixer.ndim == 2:
             mixed = (rows.reshape(-1) @ mixer).reshape(2, n)
         else:
-            spec = transform(rows[0])[np.newaxis] if r == 1 else transform(rows)
-            mixed = np.add.reduce(mixer * spec[:, np.newaxis], axis=0)
+            mixed = np.add.reduce(mixer * transform(rows)[:, np.newaxis], axis=0)
         assert got.tobytes() == transform(mixed).reshape(2 * n).tobytes(), f"k={ks}, r={r}"
